@@ -328,16 +328,20 @@ def _second_rows(m, r, nmax):
     with _tri_lock:
         rows = _second_cache.setdefault((m, r), [(1,)])
         while len(rows) <= nmax:
-            n = len(rows)
-            prev = rows[-1]
-            row = []
-            for k in range(n + 1):
-                v = prev[k - 1] if k > 0 else 0
-                if k < n:
-                    v += (k * m + r) * prev[k]
-                row.append(v)
-            rows.append(tuple(row))
+            rows.append(_next_second_row(m, r, rows[-1]))
         return list(rows[: nmax + 1])
+
+
+def _next_second_row(m, r, prev):
+    """Row n = len(prev) of W_{m,r} from row n - 1."""
+    n = len(prev)
+    row = []
+    for k in range(n + 1):
+        v = prev[k - 1] if k > 0 else 0
+        if k < n:
+            v += (k * m + r) * prev[k]
+        row.append(v)
+    return tuple(row)
 
 
 @dataclass(frozen=True)

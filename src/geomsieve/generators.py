@@ -122,14 +122,27 @@ def divisor_lattice(n):
     return build_lattice(len(divs), covers, [str(d) for d in divs])
 
 
-def _bell(n):
+def _bell_numbers(n):
+    """Bell(0), ..., Bell(n), read off the Bell triangle row by row."""
     row = [1]
+    yield 1
     for _ in range(n):
         nxt = [row[-1]]
         for v in row:
             nxt.append(nxt[-1] + v)
         row = nxt
-    return row[0]
+        yield row[0]
+
+
+def _dowling_numbers(m, n):
+    """D_m(0), ..., D_m(n) as row sums of W_{m,1}, without filling the
+    dowling triangle cache."""
+    from .dowling import _next_second_row
+    row = (1,)
+    yield 1
+    for _ in range(n):
+        row = _next_second_row(m, 1, row)
+        yield sum(row)
 
 
 def parse_named(name, cap_elements=DEFAULT_CAP):
@@ -142,13 +155,21 @@ def parse_named(name, cap_elements=DEFAULT_CAP):
             raise TooLarge(
                 f"{name} has {size} elements, over the cap {cap_elements}")
 
+    def want_growing(sizes):
+        # sizes of the same family at parameters 0..n; they grow with
+        # the parameter, so the first one over the cap is enough
+        for size in sizes:
+            if size > cap_elements:
+                raise TooLarge(f"{name} has at least {size} elements, "
+                               f"over the cap {cap_elements}")
+
     if kind == "boolean" and len(parts) == 2:
         n = int(parts[1])
         want(1 << n)
         return boolean_lattice(n)
     if kind == "partition" and len(parts) == 2:
         n = int(parts[1])
-        want(_bell(n))
+        want_growing(_bell_numbers(n))
         return partition_lattice(n)
     if kind == "chain" and len(parts) == 2:
         r = int(parts[1])
@@ -161,7 +182,8 @@ def parse_named(name, cap_elements=DEFAULT_CAP):
     if kind == "dowling" and len(parts) == 3:
         from . import dowling
         n, m = int(parts[1]), int(parts[2])
-        want(dowling.dowling_number(m, n))
+        dowling._check_caps(n, m, n_cap=n, m_cap=m)
+        want_growing(_dowling_numbers(m, n))
         return dowling.build_Qn(n, m, n_cap=n, m_cap=m)
     if kind == "uniform" and len(parts) == 3:
         from . import matroid
@@ -173,6 +195,6 @@ def parse_named(name, cap_elements=DEFAULT_CAP):
         if parts[1] not in ("k4", "k5"):
             raise ValueError(f"unknown graph {parts[1]!r}")
         nv = 4 if parts[1] == "k4" else 5
-        want(_bell(nv))
+        want_growing(_bell_numbers(nv))
         return matroid.flats_lattice(matroid.Matroid.complete_graphic(nv))
     raise ValueError(f"unknown generator name {name!r}")

@@ -2,22 +2,34 @@
 
 A lattice is built from its cover relation.  Construction validates the
 whole contract up front: acyclicity, unique bottom and top, gradedness
-of the covers against longest-chain rank, and existence of all meets
-and joins.  After that every query method may assume a genuine graded
-lattice.
+of the covers against longest-chain rank, and existence of all joins.
+After that every query method may assume a genuine graded lattice.
 
 Internally elements are re-sorted by rank into "positions" and the
 order relation is stored as two bitmask rows per element (down-set and
 up-set).  In that layout the meet of x and y is the highest set bit of
-down[x] & down[y] and the join is the lowest set bit of up[x] & up[y];
-the construction-time pair scan checks that these candidates really are
-greatest/least, which is exactly the lattice property.
+down[x] & down[y] and the join is the lowest set bit of up[x] & up[y].
+
+The lattice property is certified locally, from cover pairs only: for
+every element z and every two elements x, y covering z, the lowest set
+bit j of up[x] & up[y] must have exactly that up-set, i.e. j = x v y.
+This suffices in a finite poset with a bottom.  Every pair x, y then
+has a common lower bound z, and induction downwards on z gives x v y:
+pick covers z < x1 <= x and z < y1 <= y.  If x1 = y1 it is a higher
+common lower bound.  Otherwise w = x1 v y1 exists, the pairs (x, w) and
+(x v w, y) have the higher common lower bounds x1 and y1, and
+(x v w) v y, which lies below every upper bound of x and y, is their
+join.  With a top as well, all joins give all meets.
+
+The same pairs certify semimodularity: a finite graded lattice is
+semimodular iff x v y has rank r(z) + 2 whenever x and y cover z
+(Stanley, EC1, Prop. 3.3.2), so the first pair that breaks this is
+kept as the witness for is_geometric.
 """
 
 import threading
 from dataclasses import dataclass
 
-from . import _kernels
 from .errors import (
     Cyclic,
     MultipleMaxima,
@@ -254,6 +266,61 @@ def _bits(mask):
         mask ^= low
 
 
+def _transitive_closure(n, covers):
+    """Reflexive-transitive closure of a cover relation on positions.
+
+    Positions must be topologically sorted (x < y for every cover
+    (x, y)).  Returns (down, up): down[i] is the bitmask of {j : j <= i}
+    and up[i] the bitmask of {j : i <= j}.
+    """
+    down = [1 << i for i in range(n)]
+    up = [1 << i for i in range(n)]
+    children = [[] for _ in range(n)]
+    parents = [[] for _ in range(n)]
+    for x, y in covers:
+        children[y].append(x)
+        parents[x].append(y)
+    for y in range(n):
+        d = down[y]
+        for c in children[y]:
+            d |= down[c]
+        down[y] = d
+    for x in range(n - 1, -1, -1):
+        u = up[x]
+        for p in parents[x]:
+            u |= up[p]
+        up[x] = u
+    return down, up
+
+
+def _cover_scan(n, covers, up, rank):
+    """Check the join of every two upper covers of a common element.
+
+    Positions must refine rank order and the poset must have a unique
+    bottom and top.  Returns (join_fail, semi_fail): join_fail is the
+    first cover pair without a join (the scan stops there), semi_fail
+    the first pair whose join does not sit two ranks above the element
+    they cover, or None.
+    """
+    parents = [[] for _ in range(n)]
+    for x, y in covers:
+        parents[x].append(y)
+    semi_fail = None
+    for z in range(n):
+        ps = parents[z]
+        rz2 = rank[z] + 2
+        for i, x in enumerate(ps):
+            ux = up[x]
+            for y in ps[i + 1:]:
+                u = ux & up[y]
+                j = (u & -u).bit_length() - 1
+                if up[j] != u:
+                    return (x, y), None
+                if semi_fail is None and rank[j] != rz2:
+                    semi_fail = (x, y)
+    return None, semi_fail
+
+
 def build_lattice(n_elems, covers, labels=None):
     """Validate a cover relation and build the lattice it generates.
 
@@ -321,12 +388,8 @@ def build_lattice(n_elems, covers, labels=None):
     pos_covers = [(pos_of[x], pos_of[y]) for x, y in covers]
     pos_rank = [rank[idx] for idx in order]
 
-    down, up = _kernels.transitive_closure(n_elems, pos_covers)
-    meet_fail, join_fail, semi_fail = _kernels.scan_pairs(
-        n_elems, down, up, pos_rank)
-    if meet_fail is not None:
-        a, b = (order[meet_fail[0]], order[meet_fail[1]])
-        raise NotALattice(f"elements {a} and {b} have no meet")
+    down, up = _transitive_closure(n_elems, pos_covers)
+    join_fail, semi_fail = _cover_scan(n_elems, pos_covers, up, pos_rank)
     if join_fail is not None:
         a, b = (order[join_fail[0]], order[join_fail[1]])
         raise NotALattice(f"elements {a} and {b} have no join")

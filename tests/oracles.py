@@ -34,6 +34,68 @@ def naive_join(n, rel, x, y):
     return best[0] if len(best) == 1 else None
 
 
+def naive_is_atomistic(n, rel, bottom):
+    """Every element is the least upper bound of the atoms below it."""
+    atoms = [a for a in range(n) if a != bottom
+             and all(w in (bottom, a) for w in range(n) if (w, a) in rel)]
+    for x in range(n):
+        below = [a for a in atoms if (a, x) in rel]
+        upper = [z for z in range(n) if all((a, z) in rel for a in below)]
+        if not all((x, z) in rel for z in upper):
+            return False
+    return True
+
+
+def scan_pairs(n, down, up, rank):
+    """All-pairs lattice scan: the reference for build_lattice's cover
+    certificate.
+
+    Positions 0..n-1 must refine rank order; down/up are bitmask rows of
+    the order relation.  One pass over all unordered pairs checks meets,
+    joins, and the semimodular inequality r(meet) + r(join) <= r(x) +
+    r(y).  Returns (meet_fail, join_fail, semi_fail), each None or the
+    first offending pair in scan order.  Stops at the first meet/join
+    failure; the semimodular scan runs to completion otherwise.
+    """
+    semi_fail = None
+    for x in range(n):
+        dx = down[x]
+        ux = up[x]
+        rx = rank[x]
+        for y in range(x + 1, n):
+            if ux >> y & 1:
+                # comparable: meet is x, join is y, inequality is equality
+                continue
+            d = dx & down[y]
+            if d == 0:
+                return (x, y), None, None
+            m = d.bit_length() - 1
+            if down[m] != d:
+                return (x, y), None, None
+            u = ux & up[y]
+            if u == 0:
+                return None, (x, y), None
+            j = (u & -u).bit_length() - 1
+            if up[j] != u:
+                return None, (x, y), None
+            if semi_fail is None and rank[m] + rank[j] > rx + rank[y]:
+                semi_fail = (x, y)
+    return None, None, semi_fail
+
+
+def all_pairs_verdict(n, rel, rank):
+    """scan_pairs on an element-indexed relation; offending pairs are
+    mapped back to element indices."""
+    order = sorted(range(n), key=lambda v: (rank[v], v))
+    down = [sum(1 << p for p, w in enumerate(order) if (w, v) in rel)
+            for v in order]
+    up = [sum(1 << p for p, w in enumerate(order) if (v, w) in rel)
+          for v in order]
+    result = scan_pairs(n, down, up, [rank[v] for v in order])
+    return tuple(None if pair is None else (order[pair[0]], order[pair[1]])
+                 for pair in result)
+
+
 def naive_mobius_matrix(n, rel):
     """mu(x, y) for all pairs by inverting zeta row by row."""
     mu = {}

@@ -1,29 +1,26 @@
-"""Backend parity tests for the bit-matrix kernels.
+"""Tests of the bitset kernels behind build_lattice: the transitive
+closure and the cover-pair certificate.
 
-Both kernels must produce identical output on identical input, for any
-topologically sorted ordering of the covers, and their output must match
-the public lattice API.
+The certificate checks joins and semimodularity only on pairs of upper
+covers of a common element, so its verdicts are played against the
+all-pairs scan in tests/oracles.py.  Witness pairs are judged by
+validity, not identity: the certificate need not report the pair the
+all-pairs scan would find first.
 """
 
 import itertools
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomsieve import generators
-from geomsieve._kernels import compiled_backend, pure_backend, select_backend
+from geomsieve.errors import NotALattice, NotGraded
+from geomsieve.poset import _transitive_closure, build_lattice
 
-HAS_COMPILED = compiled_backend() is not None
-
-needs_compiled = pytest.mark.skipif(
-    not HAS_COMPILED, reason="compiled kernel not built")
-
-
-def backends():
-    mods = [pure_backend()]
-    if HAS_COMPILED:
-        mods.append(compiled_backend())
-    return mods
+import oracles
 
 
 def positioned(lat):
@@ -48,15 +45,13 @@ ZOO = [
 
 @pytest.mark.parametrize("name", ZOO)
 def test_closure_parity_and_correctness(name):
+    # The bitmask closure agrees with the oracle's relational closure.
     lat = generators.parse_named(name)
     n, covers, rank, order, pos = positioned(lat)
-    results = [mod.transitive_closure(n, covers) for mod in backends()]
-    for down, up in results[1:]:
-        assert down == results[0][0]
-        assert up == results[0][1]
-    down, up = results[0]
+    down, up = _transitive_closure(n, covers)
+    rel = oracles.leq_matrix(n, lat.covers)
     for px, py in itertools.combinations(range(n), 2):
-        expected = lat.leq(order[px], order[py])
+        expected = (order[px], order[py]) in rel
         assert bool(down[py] >> px & 1) == expected
         assert bool(up[px] >> py & 1) == expected
     for p in range(n):
@@ -71,68 +66,10 @@ def test_closure_independent_of_cover_order(seed):
     for name in ["boolean:4", "partition:4", "dowling:2:2"]:
         lat = generators.parse_named(name)
         n, covers, rank, order, pos = positioned(lat)
-        reference = pure_backend().transitive_closure(n, sorted(covers))
+        reference = _transitive_closure(n, sorted(covers))
         shuffled = list(covers)
         random.Random(seed).shuffle(shuffled)
-        for mod in backends():
-            assert mod.transitive_closure(n, shuffled) == reference
-
-
-@pytest.mark.parametrize("name", ZOO)
-def test_scan_pairs_parity(name):
-    lat = generators.parse_named(name)
-    n, covers, rank, order, pos = positioned(lat)
-    down, up = pure_backend().transitive_closure(n, covers)
-    results = [mod.scan_pairs(n, down, up, rank) for mod in backends()]
-    for res in results[1:]:
-        assert res == results[0]
-    meet_fail, join_fail, semi_fail = results[0]
-    # Every zoo entry is a genuine lattice.
-    assert meet_fail is None
-    assert join_fail is None
-
-
-def scan_all(n, covers, rank):
-    out = []
-    for mod in backends():
-        down, up = mod.transitive_closure(n, covers)
-        out.append(mod.scan_pairs(n, down, up, rank))
-    for res in out[1:]:
-        assert res == out[0]
-    return out[0]
-
-
-def test_scan_pairs_reports_missing_meet():
-    # Two incomparable minimal elements share no lower bound.
-    res = scan_all(2, [], [0, 0])
-    assert res == ((0, 1), None, None)
-
-
-def test_scan_pairs_reports_missing_join():
-    # A bottom with two maximal elements above it: no upper bound.
-    res = scan_all(3, [(0, 1), (0, 2)], [0, 1, 1])
-    assert res == (None, (1, 2), None)
-
-
-def test_scan_pairs_reports_ambiguous_join():
-    # Bowtie inside a bounded poset: 1 and 2 have two minimal upper
-    # bounds, so the pair scan flags the join at (1, 2).
-    covers = [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4),
-              (3, 5), (4, 5)]
-    res = scan_all(6, covers, [0, 1, 1, 2, 2, 3])
-    assert res == (None, (1, 2), None)
-
-
-def test_scan_pairs_semimodular_witness():
-    # Atomistic but not semimodular: join(1, 2) = 4 and join(2, 3) = 5
-    # land two ranks up from rank-1 meets.
-    covers = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (2, 5), (3, 5),
-              (4, 6), (5, 6)]
-    rank = [0, 1, 1, 1, 2, 2, 3]
-    meet_fail, join_fail, semi_fail = scan_all(7, covers, rank)
-    assert meet_fail is None and join_fail is None
-    x, y = semi_fail
-    assert rank[x] == rank[y] == 1
+        assert _transitive_closure(n, shuffled) == reference
 
 
 def test_large_lattice_crosses_word_boundary():
@@ -140,53 +77,142 @@ def test_large_lattice_crosses_word_boundary():
     lat = generators.parse_named("boolean:7")
     n, covers, rank, order, pos = positioned(lat)
     assert n == 128
-    results = [mod.transitive_closure(n, covers) for mod in backends()]
-    for down, up in results[1:]:
-        assert down == results[0][0]
-        assert up == results[0][1]
-    down, up = results[0]
+    down, up = _transitive_closure(n, covers)
     top = max(range(n), key=lambda p: rank[p])
     assert down[top] == (1 << n) - 1
     for p in range(n):
         assert bin(down[p]).count("1") == 1 << rank[p]
 
 
-def test_select_backend_pure():
-    mod = select_backend("pure")
-    assert mod is pure_backend()
-    assert mod.BACKEND_NAME == "pure"
+def expected_geometric_failure(n, rel, bottom, semi_fail):
+    """The failure is_geometric must report, from the oracles: the
+    atomistic axiom is tested first."""
+    if not oracles.naive_is_atomistic(n, rel, bottom):
+        return "NotAtomistic"
+    return None if semi_fail is None else "NotSemimodular"
 
 
-@needs_compiled
-def test_select_backend_compiled():
-    mod = select_backend("compiled")
-    assert mod is compiled_backend()
-    assert mod.BACKEND_NAME == "compiled"
+def assert_no_join(n, rel, message):
+    found = re.search(r"elements (\d+) and (\d+) have no join", message)
+    assert found, message
+    a, b = int(found.group(1)), int(found.group(2))
+    assert oracles.naive_join(n, rel, a, b) is None, (a, b)
 
 
-def test_select_backend_auto():
-    mod = select_backend("auto")
-    if HAS_COMPILED:
-        assert mod is compiled_backend()
-    else:
-        assert mod is pure_backend()
+def assert_breaks_semimodularity(lat, n, rel, witness):
+    x, y = witness
+    m = oracles.naive_meet(n, rel, x, y)
+    j = oracles.naive_join(n, rel, x, y)
+    assert lat.rank[m] + lat.rank[j] > lat.rank[x] + lat.rank[y], witness
 
 
-def test_select_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        select_backend("fast")
+def check_against_oracle(n, covers):
+    """build_lattice and is_geometric against the all-pairs scan on a
+    poset with a bottom and a top.  Returns the expected verdict."""
+    rel = oracles.leq_matrix(n, covers)
+    rank = [0] * n
+    for v in sorted(range(n), key=lambda v: sum((u, v) in rel
+                                                for u in range(n))):
+        for x, y in covers:
+            if y == v:
+                rank[v] = max(rank[v], rank[x] + 1)
+    if any(rank[y] != rank[x] + 1 for x, y in covers):
+        with pytest.raises(NotGraded):
+            build_lattice(n, covers)
+        return "NotGraded"
+    meet_fail, join_fail, semi_fail = oracles.all_pairs_verdict(n, rel, rank)
+    if meet_fail is not None or join_fail is not None:
+        with pytest.raises(NotALattice) as info:
+            build_lattice(n, covers)
+        assert_no_join(n, rel, str(info.value))
+        return "NotALattice"
+    lat = build_lattice(n, covers)
+    chk = lat.is_geometric()
+    failure = expected_geometric_failure(n, rel, lat.bottom, semi_fail)
+    assert chk.failure == failure
+    if failure == "NotSemimodular":
+        assert_breaks_semimodularity(lat, n, rel, chk.witness)
+    return failure
 
 
-def test_select_backend_reads_environment(monkeypatch):
-    monkeypatch.setenv("GEOMSIEVE_KERNELS", "pure")
-    assert select_backend() is pure_backend()
-    monkeypatch.setenv("GEOMSIEVE_KERNELS", "AUTO")
-    assert select_backend() is select_backend("auto")
-    monkeypatch.delenv("GEOMSIEVE_KERNELS")
-    assert select_backend() is select_backend("auto")
+@pytest.mark.parametrize("name", ZOO)
+def test_cover_scan_matches_oracle(name):
+    lat = generators.parse_named(name)
+    verdict = check_against_oracle(len(lat), list(lat.covers))
+    # Every zoo entry is a genuine lattice.
+    assert verdict != "NotALattice"
 
 
-def test_backend_names_differ():
-    assert pure_backend().BACKEND_NAME == "pure"
-    if HAS_COMPILED:
-        assert compiled_backend().BACKEND_NAME == "compiled"
+def test_bowtie_join_witness_is_valid():
+    # Bowtie inside a bounded poset: 1 and 2 have two minimal upper
+    # bounds 3 and 4, so some pair has no join.
+    covers = [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4),
+              (3, 5), (4, 5)]
+    assert check_against_oracle(6, covers) == "NotALattice"
+
+
+def test_semimodular_witness_is_valid():
+    # Atomistic but not semimodular: join(1, 2) = 4 and join(2, 3) = 5
+    # land two ranks up from rank-1 meets, join(1, 3) lands three up.
+    covers = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (2, 5), (3, 5),
+              (4, 6), (5, 6)]
+    assert check_against_oracle(7, covers) == "NotSemimodular"
+
+
+@st.composite
+def leveled_posets(draw):
+    """A random graded poset with a bottom and a top, as (n, covers).
+
+    Each element of level k + 1 covers a nonempty set of level-k
+    elements and every level-k element is covered at least once, so
+    levels are ranks.  Element indices are shuffled.
+    """
+    levels = [[0]]
+    n = 1
+    covers = []
+    for width in draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)):
+        below = levels[-1]
+        level = list(range(n, n + width))
+        n += width
+        for v in level:
+            for x in draw(st.lists(st.sampled_from(below), min_size=1,
+                                   max_size=len(below), unique=True)):
+                covers.append((x, v))
+        covered = {x for x, v in covers if v in level}
+        for x in below:
+            if x not in covered:
+                covers.append((x, draw(st.sampled_from(level))))
+        levels.append(level)
+    covers += [(x, n) for x in levels[-1]]
+    n += 1
+    perm = draw(st.permutations(range(n)))
+    return n, sorted({(perm[x], perm[y]) for x, y in covers})
+
+
+@st.composite
+def set_families(draw):
+    """Subsets of a k-set ordered by inclusion, as (n, covers): the
+    empty set, the singletons, the whole set and a random choice of the
+    rest.  Such a poset is atomistic whenever it is a lattice, so
+    is_geometric reports its semimodular verdict.  It need not be
+    graded; build_lattice must then raise NotGraded.
+    """
+    k = draw(st.integers(3, 5))
+    middle = [frozenset(c) for size in range(2, k)
+              for c in itertools.combinations(range(k), size)]
+    family = ([frozenset()] + [frozenset([a]) for a in range(k)]
+              + draw(st.lists(st.sampled_from(middle), unique=True,
+                              max_size=len(middle)))
+              + [frozenset(range(k))])
+    family = draw(st.permutations(family))
+    covers = [(i, j) for i, a in enumerate(family)
+              for j, b in enumerate(family)
+              if a < b and not any(a < c < b for c in family)]
+    return len(family), covers
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(leveled_posets(), set_families()))
+def test_certificate_matches_all_pairs_oracle(poset):
+    n, covers = poset
+    check_against_oracle(n, covers)

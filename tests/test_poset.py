@@ -64,8 +64,8 @@ def test_pentagon_is_not_graded():
 
 def test_ambiguous_bounds_reported():
     # 3 and 4 have no meet (two maximal common lower bounds 1 and 2),
-    # equivalently 1 and 2 have no join; the pair scan hits the lower
-    # pair first, so the join message is the one that surfaces
+    # equivalently 1 and 2 have no join; 1 and 2 both cover 0, so the
+    # cover scan reports that pair
     covers = [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 5), (4, 5)]
     with pytest.raises(NotALattice, match="1 and 2 have no join"):
         build_lattice(6, covers)
