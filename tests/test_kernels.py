@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomsieve import generators
-from geomsieve.errors import NotALattice, NotGraded
+from geomsieve.errors import (MultipleMaxima, MultipleMinima, NotALattice,
+                              NotGraded)
 from geomsieve.poset import _transitive_closure, build_lattice
 
 import oracles
@@ -136,14 +137,37 @@ def check_against_oracle(n, covers):
 
 
 @pytest.mark.parametrize("name", ZOO)
-def test_cover_scan_matches_oracle(name):
+def test_scan_pairs_parity(name):
+    # build_lattice's cover scan gives the verdicts of the all-pairs
+    # scan_pairs oracle on every zoo entry.
     lat = generators.parse_named(name)
     verdict = check_against_oracle(len(lat), list(lat.covers))
     # Every zoo entry is a genuine lattice.
     assert verdict != "NotALattice"
 
 
-def test_bowtie_join_witness_is_valid():
+def test_scan_pairs_reports_missing_meet():
+    # Two incomparable minimal elements share no lower bound.  The
+    # oracle reports the missing meet; build_lattice refuses the poset
+    # for its second minimum before any pair is scanned.
+    down, up = _transitive_closure(2, [])
+    assert oracles.scan_pairs(2, down, up, [0, 0]) == ((0, 1), None, None)
+    with pytest.raises(MultipleMinima):
+        build_lattice(2, [])
+
+
+def test_scan_pairs_reports_missing_join():
+    # A bottom with two maximal elements above it: no upper bound.  The
+    # oracle reports the missing join; build_lattice refuses the poset
+    # for its second maximum before any pair is scanned.
+    covers = [(0, 1), (0, 2)]
+    down, up = _transitive_closure(3, covers)
+    assert oracles.scan_pairs(3, down, up, [0, 1, 1]) == (None, (1, 2), None)
+    with pytest.raises(MultipleMaxima):
+        build_lattice(3, covers)
+
+
+def test_scan_pairs_reports_ambiguous_join():
     # Bowtie inside a bounded poset: 1 and 2 have two minimal upper
     # bounds 3 and 4, so some pair has no join.
     covers = [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4),
@@ -151,7 +175,7 @@ def test_bowtie_join_witness_is_valid():
     assert check_against_oracle(6, covers) == "NotALattice"
 
 
-def test_semimodular_witness_is_valid():
+def test_scan_pairs_semimodular_witness():
     # Atomistic but not semimodular: join(1, 2) = 4 and join(2, 3) = 5
     # land two ranks up from rank-1 meets, join(1, 3) lands three up.
     covers = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (2, 5), (3, 5),
