@@ -18,6 +18,7 @@ unparseable input.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -27,7 +28,7 @@ import mpmath as mp
 from . import dowling, generators, verify
 from .brun import verify_brun
 from .errors import GeomsieveError, NotGeometric
-from .poset import lattice_from_json, lattice_to_json
+from .poset import lattice_to_json
 from .sieve import (
     brun_bounds,
     sieve_error_bound,
@@ -42,25 +43,37 @@ __all__ = ["main"]
 def _load_lattice(source, cap):
     if os.path.exists(source):
         with open(source, encoding="utf-8") as fh:
-            data = json.load(fh)
-        lat = lattice_from_json(data)
-        if lat.n_elems > cap:
-            raise GeomsieveError(
-                f"lattice has {lat.n_elems} elements, over the cap {cap}")
-        return lat
-    if ":" in source:
-        return generators.parse_named(source, cap)
-    raise ValueError(f"{source!r} is neither a file nor a generator name")
+            source = json.load(fh)
+    elif ":" not in source:
+        raise ValueError(f"{source!r} is neither a file nor a generator name")
+    return generators.load_lattice(source, cap)
+
+
+@contextlib.contextmanager
+def _exact_digits():
+    """Lift the interpreter's int-to-str digit limit while results are
+    written, so exact values print in full; input is still parsed under
+    the limit, and the old setting comes back afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def _emit(data, fmt, stream=None):
     stream = stream or sys.stdout
-    if fmt == "json":
-        json.dump(data, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-    else:
-        for key in sorted(data):
-            stream.write(f"{key}: {data[key]}\n")
+    with _exact_digits():
+        if fmt == "json":
+            json.dump(data, stream, indent=2, sort_keys=True)
+            stream.write("\n")
+        else:
+            for key in sorted(data):
+                stream.write(f"{key}: {data[key]}\n")
 
 
 def cmd_lattice_check(args):
@@ -106,7 +119,7 @@ def cmd_sieve_run(args):
         "cutoff": cutoff,
         "lower": lower,
         "upper": upper,
-        "sandwich_ok": bool(lower <= exact <= upper),
+        "sandwich_ok": ok,
     }
     _emit(out, args.format)
     return 0 if ok else 1
@@ -115,16 +128,14 @@ def cmd_sieve_run(args):
 def cmd_verify_all(args):
     results = verify.run_checks(scope=args.scope, fast=args.fast)
     if args.format == "json":
-        out = {
+        _emit({
             "checks": [
                 {"name": r.name, "ok": r.ok, "detail": r.detail,
                  "seconds": round(r.seconds, 3)}
                 for r in results
             ],
             "ok": all(r.ok for r in results),
-        }
-        json.dump(out, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        }, "json")
     else:
         for r in results:
             word = "PASS" if r.ok else "FAIL"
@@ -143,7 +154,8 @@ def cmd_dowling_table(args):
         tri = dowling.whitney_second_table(args.m,
                                            1 if args.r is None else args.r,
                                            args.nmax)
-    text = dowling.triangle_to_csv(tri)
+    with _exact_digits():
+        text = dowling.triangle_to_csv(tri)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -153,12 +165,8 @@ def cmd_dowling_table(args):
 
 
 def cmd_dowling_build(args):
-    size = dowling.dowling_number(args.m, args.n)
-    if size > args.cap_elements:
-        raise GeomsieveError(
-            f"Q_{args.n}(Z_{args.m}) has {size} elements, over the cap "
-            f"{args.cap_elements}")
-    lat = dowling.build_Qn(args.n, args.m, n_cap=args.n, m_cap=args.m)
+    lat = generators.parse_named(f"dowling:{args.n}:{args.m}",
+                                 args.cap_elements)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(lattice_to_json(lat), fh)
         fh.write("\n")
@@ -192,9 +200,10 @@ def cmd_dowling_numbers(args):
     values = [dowling.r_dowling_number(args.m, r, n)
               for n in range(args.nmax + 1)]
     if args.format == "csv":
-        sys.stdout.write("n,value\n")
-        for n, v in enumerate(values):
-            sys.stdout.write(f"{n},{v}\n")
+        with _exact_digits():
+            sys.stdout.write("n,value\n")
+            for n, v in enumerate(values):
+                sys.stdout.write(f"{n},{v}\n")
     else:
         _emit({"m": args.m, "r": r,
                "values": values}, "json")

@@ -10,21 +10,25 @@ Generator names understood by parse_named():
     chain:r        a chain with ranks 0..r (not geometric for r >= 2)
     divisor:N      divisors of N under divisibility
 
-Every generator estimates its size before building and refuses to
-exceed the element cap.
+load_lattice() is the one admission path for lattice sources: it takes
+a generator name or a lattice-JSON dict and refuses, with TooLarge, any
+source over the element cap before building it.  Names are sized from
+small lower bounds, so a huge parameter never forms a huge number.
 """
 
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 from .errors import TooLarge
-from .poset import build_lattice
+from .poset import build_lattice, lattice_from_json
 
 __all__ = [
     "boolean_lattice",
     "partition_lattice",
     "chain_lattice",
     "divisor_lattice",
+    "load_lattice",
     "parse_named",
     "set_partitions",
 ]
@@ -145,56 +149,64 @@ def _dowling_numbers(m, n):
         yield sum(row)
 
 
+def _refuse_over(what, sizes, cap_elements):
+    """Raise TooLarge at the first of sizes, increasing lower bounds on
+    the size of what, over the cap; no later, larger size is formed."""
+    for size in sizes:
+        if size > cap_elements:
+            raise TooLarge(f"{what} has at least {size} elements, "
+                           f"over the cap {cap_elements}")
+
+
+def load_lattice(source, cap_elements=DEFAULT_CAP):
+    """Build a lattice from a generator name or a lattice-JSON dict,
+    refusing it before the build if it has more elements than the cap."""
+    if isinstance(source, str):
+        return parse_named(source, cap_elements)
+    if isinstance(source, dict) and "n" in source:
+        _refuse_over("lattice JSON", [int(source["n"])], cap_elements)
+    return lattice_from_json(source)
+
+
 def parse_named(name, cap_elements=DEFAULT_CAP):
     """Build a lattice from a generator name, enforcing the size cap."""
     parts = name.split(":")
     kind = parts[0]
 
-    def want(size):
-        if size > cap_elements:
-            raise TooLarge(
-                f"{name} has {size} elements, over the cap {cap_elements}")
-
-    def want_growing(sizes):
-        # sizes of the same family at parameters 0..n; they grow with
-        # the parameter, so the first one over the cap is enough
-        for size in sizes:
-            if size > cap_elements:
-                raise TooLarge(f"{name} has at least {size} elements, "
-                               f"over the cap {cap_elements}")
-
     if kind == "boolean" and len(parts) == 2:
         n = int(parts[1])
-        want(1 << n)
+        _refuse_over(name, (1 << i for i in range(n + 1)), cap_elements)
         return boolean_lattice(n)
     if kind == "partition" and len(parts) == 2:
         n = int(parts[1])
-        want_growing(_bell_numbers(n))
+        _refuse_over(name, _bell_numbers(n), cap_elements)
         return partition_lattice(n)
     if kind == "chain" and len(parts) == 2:
         r = int(parts[1])
-        want(r + 1)
+        _refuse_over(name, [r + 1], cap_elements)
         return chain_lattice(r)
     if kind == "divisor" and len(parts) == 2:
         n = int(parts[1])
-        want(n)
+        _refuse_over(name, [n], cap_elements)
         return divisor_lattice(n)
     if kind == "dowling" and len(parts) == 3:
         from . import dowling
         n, m = int(parts[1]), int(parts[2])
         dowling._check_caps(n, m, n_cap=n, m_cap=m)
-        want_growing(_dowling_numbers(m, n))
+        _refuse_over(name, _dowling_numbers(m, n), cap_elements)
         return dowling.build_Qn(n, m, n_cap=n, m_cap=m)
     if kind == "uniform" and len(parts) == 3:
         from . import matroid
         k, n = int(parts[1]), int(parts[2])
-        want(sum(comb(n, i) for i in range(k)) + 1)
+        # the flats of rank < k and the ground set, one rank at a time
+        _refuse_over(name, accumulate((comb(n, i) for i in range(k)),
+                                      initial=1), cap_elements)
         return matroid.flats_lattice(matroid.Matroid.uniform(k, n))
     if kind == "graphic" and len(parts) == 2:
         from . import matroid
         if parts[1] not in ("k4", "k5"):
             raise ValueError(f"unknown graph {parts[1]!r}")
         nv = 4 if parts[1] == "k4" else 5
-        want_growing(_bell_numbers(nv))
+        _refuse_over(name, _bell_numbers(nv), cap_elements)
         return matroid.flats_lattice(matroid.Matroid.complete_graphic(nv))
     raise ValueError(f"unknown generator name {name!r}")

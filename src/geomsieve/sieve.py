@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotComparable, NotGeometric
+from .generators import DEFAULT_CAP, load_lattice
 
 __all__ = [
     "SieveInstance",
@@ -165,26 +166,16 @@ def _lat_json(lat):
     return lattice_to_json(lat)
 
 
-def sieve_instance_from_json(data, cap_elements=None):
+def sieve_instance_from_json(data, cap_elements=DEFAULT_CAP):
     """Read an instance; "lattice" is inline JSON or a generator name,
-    and "A" may be the string "all"."""
-    from .generators import DEFAULT_CAP, parse_named
-    from .poset import lattice_from_json
-
+    sized against the cap before it is built, and "A" may be the
+    string "all"."""
     if not isinstance(data, dict):
         raise ValueError("sieve JSON must be an object")
     for key in ("lattice", "A", "T", "f", "X"):
         if key not in data:
             raise ValueError(f'sieve JSON needs "{key}"')
-    src = data["lattice"]
-    if isinstance(src, str):
-        lat = parse_named(
-            src, cap_elements if cap_elements is not None else DEFAULT_CAP)
-    else:
-        lat = lattice_from_json(src)
-        if cap_elements is not None and lat.n_elems > cap_elements:
-            raise ValueError(
-                f"lattice has {lat.n_elems} elements, over the cap")
+    lat = load_lattice(data["lattice"], cap_elements)
     a = data["A"]
     if a == "all":
         a = list(range(lat.n_elems))

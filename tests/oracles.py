@@ -116,6 +116,34 @@ def naive_mobius_matrix(n, rel):
     return mu
 
 
+def naive_ranks(n, rel):
+    """Rank of each element: the length of a longest chain from a
+    minimal element up to it."""
+    rank = {}
+    for y in sorted(range(n), key=lambda v: sum((u, v) in rel
+                                                for u in range(n))):
+        rank[y] = max((rank[z] + 1 for z in range(n)
+                       if (z, y) in rel and z != y), default=0)
+    return rank
+
+
+def naive_brun_bounds(n, rel, mu, A, tau, cutoff):
+    """(lower, upper) from the definition: the sum over y <= tau of
+    mu(bottom, y) #{a in A : y <= a}, truncated at rank 2*cutoff + 1
+    for the lower bound and at rank 2*cutoff for the upper.  mu is
+    naive_mobius_matrix(n, rel); A is a multiset of elements."""
+    bottom = next(v for v in range(n) if all((v, w) in rel
+                                             for w in range(n)))
+    rank = naive_ranks(n, rel)
+
+    def truncated(max_rank):
+        return sum(mu[bottom, y] * sum(1 for a in A if (y, a) in rel)
+                   for y in range(n)
+                   if (y, tau) in rel and rank[y] <= max_rank)
+
+    return truncated(2 * cutoff + 1), truncated(2 * cutoff)
+
+
 def bell_numbers(n_max):
     """Bell(0..n_max) via the Bell triangle."""
     out = [1]

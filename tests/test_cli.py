@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
-from geomsieve import dowling, generators
+from geomsieve import dowling, generators, poset
 from geomsieve.cli import main
 from geomsieve.poset import lattice_from_json, lattice_to_json
 from geomsieve.sieve import sieve_instance_to_json
@@ -145,6 +146,28 @@ def test_sieve_run_inline_lattice(capsys, tmp_path):
     assert data["sifted_count"] == 1
 
 
+def test_lattice_json_over_cap_refused_before_build(capsys, tmp_path,
+                                                   monkeypatch):
+    n = generators.DEFAULT_CAP + 1
+    chain = {"n": n, "covers": [[i, i + 1] for i in range(n - 1)]}
+    lattice_path = tmp_path / "chain.json"
+    lattice_path.write_text(json.dumps(chain), encoding="utf-8")
+    sieve_path = tmp_path / "sieve.json"
+    sieve_path.write_text(json.dumps({"lattice": chain, "A": "all", "T": [],
+                                      "f": ["0"] * n, "X": "1"}),
+                          encoding="utf-8")
+
+    def fail(*_args, **_kwargs):
+        raise AssertionError("build_lattice called")
+
+    monkeypatch.setattr(poset, "build_lattice", fail)
+    for argv in (["lattice-check", str(lattice_path)],
+                 ["sieve-run", str(sieve_path)]):
+        code, _out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.rstrip().endswith("over the cap 5000"), err
+
+
 def test_sieve_run_missing_key(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"lattice": "boolean:2"}), encoding="utf-8")
@@ -220,6 +243,18 @@ def test_dowling_build_respects_cap(capsys, tmp_path):
     assert not path.exists()
 
 
+def test_dowling_build_refused_before_any_triangle_row(capsys, tmp_path):
+    path = tmp_path / "never.json"
+    before = {key: len(rows) for key, rows in dowling._second_cache.items()}
+    code, _out, err = run_cli(capsys, "dowling", "build", "--n", "1500",
+                              "--m", "2", "--out", str(path))
+    assert code == 2
+    assert "over the cap 5000" in err, err
+    assert not path.exists()
+    after = {key: len(rows) for key, rows in dowling._second_cache.items()}
+    assert after == before
+
+
 def test_dowling_conv(capsys):
     code, data, _ = run_json(capsys, "dowling", "conv", "--m", "1",
                              "--n", "1", "--t", "1", "--s", "2")
@@ -254,6 +289,25 @@ def test_dowling_numbers_csv(capsys):
     assert lines[0] == "n,value"
     values = [int(line.split(",")[1]) for line in lines[1:]]
     assert values == [dowling.r_dowling_number(3, 2, n) for n in range(4)]
+
+
+def test_dowling_numbers_past_int_str_digit_limit(capsys):
+    # D_{1,r}(50) with r = 10**100 has about 5000 digits, more than the
+    # interpreter's default int-to-str limit of 4300
+    r = 10 ** 100
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run_cli(capsys, "dowling", "numbers", "--m", "1",
+                             "--r", "1" + "0" * 100, "--nmax", "50",
+                             "--format", "csv")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    assert code == 0, err
+    lines = out.splitlines()
+    assert len(lines) == 52
+    last = lines[-1].split(",")
+    assert last[0] == "50"
+    assert len(last[1]) > 4300
+    # Decimal reads the digits exactly; int(last[1]) would hit the limit
+    assert Decimal(last[1]) == dowling.r_dowling_number(1, r, 50)
 
 
 def test_asym_dowling(capsys):

@@ -1,11 +1,12 @@
-"""Size checks in parse_named: names over the element cap are refused
-with TooLarge before any lattice or triangle is built."""
+"""Size checks in parse_named and load_lattice: sources over the element
+cap are refused with TooLarge before any lattice or triangle is built."""
 
 import pytest
 
-from geomsieve import dowling, generators
+from geomsieve import dowling, generators, matroid, poset
 from geomsieve.cli import main
 from geomsieve.errors import TooLarge
+from geomsieve.sieve import sieve_instance_from_json
 
 import oracles
 
@@ -32,7 +33,8 @@ def test_huge_dowling_refused_without_filling_triangle_cache():
 
 
 def test_huge_names_refused_by_cli(capsys):
-    for name in ("partition:2000", "dowling:1500:2"):
+    for name in ("partition:2000", "dowling:1500:2", "boolean:1000000000",
+                 "uniform:3000:100000"):
         assert main(["lattice-check", name]) == 2
         err = capsys.readouterr().err
         assert "over the cap 5000" in err, err
@@ -56,3 +58,48 @@ def test_dowling_name_arguments_checked():
     for name in ("dowling:-1:2", "dowling:2:0"):
         with pytest.raises(ValueError, match="need n >= 0 and m >= 1"):
             generators.parse_named(name)
+
+
+def refuse_to_build(monkeypatch):
+    """Make any lattice build fail, so a refusal proves nothing was built."""
+    def fail(*_args, **_kwargs):
+        raise AssertionError("build_lattice called")
+    for module in (poset, generators, dowling, matroid):
+        monkeypatch.setattr(module, "build_lattice", fail)
+
+
+def chain_json(n):
+    return {"n": n, "covers": [[i, i + 1] for i in range(n - 1)]}
+
+
+@pytest.mark.parametrize("name", ["boolean:1000000000",
+                                  "uniform:3000:100000"])
+def test_huge_boolean_and_uniform_refused_by_cap(name, monkeypatch):
+    # the exact sizes have far more digits than int-to-str allows
+    refuse_to_build(monkeypatch)
+    with pytest.raises(TooLarge, match=r"over the cap 5000$"):
+        generators.parse_named(name)
+
+
+# 2**12 subsets; U_{3,5} has 1 + 5 + 10 flats of rank < 3 plus the ground set
+@pytest.mark.parametrize("name, size", [("boolean:12", 4096),
+                                        ("uniform:3:5", 17)])
+def test_boolean_and_uniform_cap_boundary(name, size):
+    assert len(generators.parse_named(name, size)) == size
+    with pytest.raises(TooLarge, match=f"over the cap {size - 1}$"):
+        generators.parse_named(name, size - 1)
+
+
+def test_lattice_json_cap_boundary(monkeypatch):
+    assert len(generators.load_lattice(chain_json(5), 5)) == 5
+    refuse_to_build(monkeypatch)
+    with pytest.raises(TooLarge, match=r"6 elements, over the cap 5$"):
+        generators.load_lattice(chain_json(6), 5)
+
+
+def test_sieve_inline_lattice_capped_by_default(monkeypatch):
+    refuse_to_build(monkeypatch)
+    data = {"lattice": chain_json(generators.DEFAULT_CAP + 1), "A": [],
+            "T": [], "f": ["0"], "X": "1"}
+    with pytest.raises(TooLarge, match=r"over the cap 5000$"):
+        sieve_instance_from_json(data)

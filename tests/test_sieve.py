@@ -1,8 +1,11 @@
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomsieve import dowling, generators
 from geomsieve.errors import NotComparable, NotGeometric
@@ -20,6 +23,7 @@ from geomsieve.sieve import (
 )
 
 import oracles
+from conftest import SMALL_ZOO
 
 
 def b3_instance(T, f=None, A=None):
@@ -163,6 +167,39 @@ def test_brun_bounds_sandwich_and_tightness(zoo_lattice):
     r_tau = lat.rank[inst.tau]
     for cutoff in range(r_tau + 2):
         lower, upper = brun_bounds(inst, cutoff)
+        assert lower <= exact <= upper
+        if 2 * cutoff >= r_tau:
+            assert lower == upper == exact
+
+
+@lru_cache(maxsize=None)
+def naive_order(name):
+    """The order relation from the covers alone, and its Mobius matrix."""
+    lat = generators.parse_named(name)
+    rel = oracles.leq_matrix(lat.n_elems, lat.covers)
+    return rel, oracles.naive_mobius_matrix(lat.n_elems, rel)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_brun_bounds_sandwich_random_multisets(data):
+    # the sandwich holds for any multiset A: each a contributes a
+    # truncated Mobius sum over the geometric interval [bottom, a meet tau]
+    name = data.draw(st.sampled_from(SMALL_ZOO), label="lattice")
+    lat = generators.parse_named(name)
+    n = lat.n_elems
+    A = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n), label="A")
+    T = data.draw(st.lists(st.sampled_from(lat.atoms()), unique=True),
+                  label="T")
+    inst = SieveInstance(lattice=lat, A=A, T=T,
+                         f=[Fraction(0)] * (lat.top_rank + 1), X=Fraction(1))
+    exact = sifted_count_exact(inst)
+    rel, mu = naive_order(name)
+    r_tau = lat.rank[inst.tau]
+    for cutoff in range(r_tau + 2):
+        lower, upper = brun_bounds(inst, cutoff)
+        assert (lower, upper) == oracles.naive_brun_bounds(
+            n, rel, mu, A, inst.tau, cutoff)
         assert lower <= exact <= upper
         if 2 * cutoff >= r_tau:
             assert lower == upper == exact
