@@ -12,6 +12,7 @@ numbers of such a lattice are).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import (
     BrunViolation,
@@ -76,6 +77,16 @@ def is_log_concave(seq):
     return True, None
 
 
+def _check_signs(partial):
+    """Raise BrunViolation unless every even cutoff k has partial sum
+    t_k >= 0 and every odd cutoff t_k <= 0."""
+    for k, t in enumerate(partial):
+        if k % 2 == 0 and t < 0:
+            raise BrunViolation(f"even cutoff {k} gives {t} < 0")
+        if k % 2 == 1 and t > 0:
+            raise BrunViolation(f"odd cutoff {k} gives {t} > 0")
+
+
 def alternating_partial_sums_check(seq):
     """Partial sums t_k = sum_{i<=k} (-1)^i a_i for a non-negative
     unimodal sequence with t_last = 0.
@@ -90,10 +101,7 @@ def alternating_partial_sums_check(seq):
     for i, v in enumerate(seq):
         if v < 0:
             raise HypothesisViolated("non-negative", i)
-    try:
-        ok, _peak = is_unimodal(seq)
-    except NegativeEntry:  # pragma: no cover - filtered above
-        ok = False
+    ok, _peak = is_unimodal(seq)
     if not ok:
         raise HypothesisViolated("unimodal", tuple(seq))
     partial = []
@@ -103,11 +111,7 @@ def alternating_partial_sums_check(seq):
         partial.append(t)
     if partial[-1] != 0:
         raise HypothesisViolated("zero-alternating-sum", partial[-1])
-    for k, t in enumerate(partial):
-        if k % 2 == 0 and t < 0:
-            raise BrunViolation(f"even cutoff {k} gives {t} < 0")
-        if k % 2 == 1 and t > 0:
-            raise BrunViolation(f"odd cutoff {k} gives {t} > 0")
+    _check_signs(partial)
     return tuple(partial)
 
 
@@ -131,15 +135,8 @@ def verify_brun(lat):
     if not chk:
         raise NotGeometric(f"{chk.failure} (witness {chk.witness})")
     w = lat.whitney_first()
-    partial = []
-    t = 0
-    for k, wk in enumerate(w):
-        t += wk
-        partial.append(t)
-        if k % 2 == 0 and t < 0:
-            raise BrunViolation(f"even cutoff {k} gives {t} < 0")
-        if k % 2 == 1 and t > 0:
-            raise BrunViolation(f"odd cutoff {k} gives {t} > 0")
+    partial = tuple(accumulate(w))
+    _check_signs(partial)
     if lat.top_rank >= 1 and partial[-1] != 0:
         raise BrunViolation("Mobius sums over the whole lattice must vanish")
-    return BrunReport(whitney_first=w, partial_sums=tuple(partial))
+    return BrunReport(whitney_first=w, partial_sums=partial)

@@ -18,7 +18,6 @@ unparseable input.
 """
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -27,6 +26,7 @@ import mpmath as mp
 
 from . import dowling, generators, verify
 from .brun import verify_brun
+from .dowling import _exact_digits
 from .errors import GeomsieveError, NotGeometric
 from .poset import lattice_to_json
 from .sieve import (
@@ -47,22 +47,6 @@ def _load_lattice(source, cap):
     elif ":" not in source:
         raise ValueError(f"{source!r} is neither a file nor a generator name")
     return generators.load_lattice(source, cap)
-
-
-@contextlib.contextmanager
-def _exact_digits():
-    """Lift the interpreter's int-to-str digit limit while results are
-    written, so exact values print in full; input is still parsed under
-    the limit, and the old setting comes back afterwards."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
 
 
 def _emit(data, fmt, stream=None):
@@ -154,8 +138,7 @@ def cmd_dowling_table(args):
         tri = dowling.whitney_second_table(args.m,
                                            1 if args.r is None else args.r,
                                            args.nmax)
-    with _exact_digits():
-        text = dowling.triangle_to_csv(tri)
+    text = dowling.triangle_to_csv(tri)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -176,8 +159,7 @@ def cmd_dowling_build(args):
 
 def cmd_dowling_conv(args):
     value = dowling.shifted_convolution(args.m, args.n, args.t, args.s)
-    series = dowling.conv_series(args.m, args.n, args.t, args.s)
-    via_series = series.coefficient(args.s)
+    via_series = dowling.conv_series(args.m, args.n, args.t, args.s)[args.s]
     if args.t >= args.n:
         via_table = dowling.whitney_second_table(
             args.m, 1 + args.m * args.n, args.s).value(args.s,

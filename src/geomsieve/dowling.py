@@ -15,12 +15,15 @@ two-term recurrences over exact integers, and the test suite plays the
 two sides against each other.
 """
 
+import contextlib
 import csv
 import io
+import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import comb
 
 from .errors import TooLarge
@@ -39,7 +42,6 @@ __all__ = [
     "r_whitney_definition_check",
     "shifted_convolution",
     "conv_orthogonality_check",
-    "BigIntSeries",
     "conv_series",
     "conv_equals_rwhitney_check",
     "dowling_number",
@@ -299,25 +301,28 @@ _second_cache = {}
 _tri_lock = threading.Lock()
 
 
+def _next_row(prev, coefs):
+    """Row n = len(prev) of a triangle with
+    T(n, k) = T(n-1, k-1) + coefs[k] T(n-1, k)."""
+    return tuple(a + c * b for a, b, c in zip((0,) + prev, prev + (0,), coefs))
+
+
+def _grow(cache, key, nmax, step):
+    """Rows 0..nmax of the cached triangle under key, extended by step."""
+    with _tri_lock:
+        rows = cache.setdefault(key, [(1,)])
+        while len(rows) <= nmax:
+            rows.append(step(rows[-1]))
+        return list(rows[: nmax + 1])
+
+
 def _first_rows(m, nmax):
     """Rows 0..nmax of w_m(n, k):
     w(n, k) = w(n-1, k-1) - (1 + m(n-1)) w(n-1, k)."""
     if m < 1:
         raise ValueError("need m >= 1")
-    with _tri_lock:
-        rows = _first_cache.setdefault(m, [(1,)])
-        while len(rows) <= nmax:
-            n = len(rows)
-            prev = rows[-1]
-            c = 1 + m * (n - 1)
-            row = []
-            for k in range(n + 1):
-                v = prev[k - 1] if k > 0 else 0
-                if k < n:
-                    v -= c * prev[k]
-                row.append(v)
-            rows.append(tuple(row))
-        return list(rows[: nmax + 1])
+    return _grow(_first_cache, m, nmax, lambda prev: _next_row(
+        prev, repeat(-(1 + m * (len(prev) - 1)))))
 
 
 def _second_rows(m, r, nmax):
@@ -325,23 +330,13 @@ def _second_rows(m, r, nmax):
     W(n, k) = W(n-1, k-1) + (km + r) W(n-1, k)."""
     if m < 1 or r < 0:
         raise ValueError("need m >= 1 and r >= 0")
-    with _tri_lock:
-        rows = _second_cache.setdefault((m, r), [(1,)])
-        while len(rows) <= nmax:
-            rows.append(_next_second_row(m, r, rows[-1]))
-        return list(rows[: nmax + 1])
+    return _grow(_second_cache, (m, r), nmax,
+                 lambda prev: _next_second_row(m, r, prev))
 
 
 def _next_second_row(m, r, prev):
     """Row n = len(prev) of W_{m,r} from row n - 1."""
-    n = len(prev)
-    row = []
-    for k in range(n + 1):
-        v = prev[k - 1] if k > 0 else 0
-        if k < n:
-            v += (k * m + r) * prev[k]
-        row.append(v)
-    return tuple(row)
+    return _next_row(prev, (k * m + r for k in range(len(prev) + 1)))
 
 
 @dataclass(frozen=True)
@@ -380,27 +375,13 @@ def whitney_second_table(m, r, n_max):
     return WhitneyTriangle(kind="second", m=m, r=r, n_max=n_max, rows=rows)
 
 
-@lru_cache(maxsize=None)
-def _stirling1_signed_rows(nmax):
-    rows = [(1,)]
-    while len(rows) <= nmax:
-        n = len(rows)
-        prev = rows[-1]
-        row = []
-        for k in range(n + 1):
-            v = prev[k - 1] if k > 0 else 0
-            if k < n:
-                v -= (n - 1) * prev[k]
-            row.append(v)
-        rows.append(tuple(row))
-    return rows
-
-
 def r_whitney_definition_check(m, r, n):
     """Exact check of (mx + r)^n = sum_k m^k W_{m,r}(n, k) (x)_k
     in the monomial basis."""
     lhs = [comb(n, j) * m ** j * r ** (n - j) for j in range(n + 1)]
-    s1 = _stirling1_signed_rows(n)
+    # s(k, j) = w_1(k-1, j-1), because Q_{k-1}(Z_1) is the partition
+    # lattice Pi_k
+    s1 = [(1,)] + [(0,) + w for w in _first_rows(1, n - 1)]
     row = _second_rows(m, r, n)[n]
     rhs = [0] * (n + 1)
     for k in range(n + 1):
@@ -442,97 +423,22 @@ def conv_orthogonality_check(m, n_max):
     return True, None
 
 
-@dataclass(frozen=True)
-class BigIntSeries:
-    """Truncated power series with exact integer coefficients.
-
-    All arithmetic keeps the truncation order of the operands (which
-    must agree) and stays in integers; inverse() requires the constant
-    term to be a unit (+1 or -1).
-    """
-
-    coeffs: tuple
-
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def zero(cls, order):
-        return cls(coeffs=(0,) * (order + 1))
-
-    @classmethod
-    def one(cls, order):
-        return cls(coeffs=(1,) + (0,) * order)
-
-    @classmethod
-    def geometric(cls, c, order):
-        """1 / (1 - c x) truncated: coefficients c^i."""
-        return cls(coeffs=tuple(c ** i for i in range(order + 1)))
-
-    def coefficient(self, i):
-        return self.coeffs[i]
-
-    def _need_same_order(self, other):
-        if self.order != other.order:
-            raise ValueError("series orders differ")
-
-    def __add__(self, other):
-        self._need_same_order(other)
-        return BigIntSeries(tuple(a + b
-                                  for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other):
-        self._need_same_order(other)
-        n = self.order
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return BigIntSeries(tuple(out))
-
-    def scale(self, c):
-        return BigIntSeries(tuple(c * a for a in self.coeffs))
-
-    def shift(self, d):
-        """Multiply by x^d, truncating at the same order."""
-        if d < 0:
-            raise ValueError("shift must be >= 0")
-        n = self.order
-        return BigIntSeries(((0,) * d + self.coeffs)[: n + 1])
-
-    def inverse(self):
-        c0 = self.coeffs[0]
-        if c0 not in (1, -1):
-            raise ValueError("constant term must be a unit")
-        n = self.order
-        inv = [c0] + [0] * n
-        for k in range(1, n + 1):
-            acc = sum(self.coeffs[i] * inv[k - i]
-                      for i in range(1, k + 1))
-            inv[k] = -c0 * acc
-        return BigIntSeries(tuple(inv))
-
-
 def conv_series(m, n, t, order):
-    """Generating function of s -> c_{n,t}(s), truncated at x^order:
-    x^(t-n) * prod_{j=n..t} 1 / (1 - (1 + jm) x).
+    """Coefficients 0..order, as a tuple, of the generating function of
+    s -> c_{n,t}(s): x^(t-n) * prod_{j=n..t} 1 / (1 - (1 + jm) x).
 
-    For t < n the series is identically zero and the zero series is
-    returned.
+    For t < n the series is identically zero.
     """
     if min(n, t) < 0 or order < 0:
         raise ValueError("need n, t, order >= 0")
-    if t < n:
-        return BigIntSeries.zero(order)
-    acc = BigIntSeries.one(order)
-    for j in range(n, t + 1):
-        acc = acc * BigIntSeries.geometric(1 + j * m, order)
-    return acc.shift(t - n)
+    coeffs = [0] * (order + 1)
+    if n <= t <= n + order:
+        coeffs[t - n] = 1
+        for j in range(n, t + 1):
+            c = 1 + j * m
+            for i in range(t - n + 1, order + 1):  # divide by 1 - c x
+                coeffs[i] += c * coeffs[i - 1]
+    return tuple(coeffs)
 
 
 def conv_equals_rwhitney_check(m, n, t, s_max):
@@ -543,7 +449,7 @@ def conv_equals_rwhitney_check(m, n, t, s_max):
         table = _second_rows(m, 1 + m * n, s_max)
     for s in range(s_max + 1):
         conv = shifted_convolution(m, n, t, s)
-        if conv != series.coefficient(s):
+        if conv != series[s]:
             return False
         direct = 0
         if t >= n and t - n <= s:
@@ -634,21 +540,40 @@ def interval_profile_check(n, m, element, *, n_cap=5, m_cap=4):
 
 # -- CSV ----------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _exact_digits():
+    """Lift the interpreter's int-to-str digit limit while exact values
+    are written or read back, and restore the old setting afterwards
+    (no-op on Pythons without the limit)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def triangle_to_csv(tri):
     """Two header lines (metadata, then column names) and one row per
-    (n, k) entry."""
+    (n, k) entry, every value in full."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["kind", "m", "r"])
     w.writerow([tri.kind, tri.m, tri.r])
     w.writerow(["n", "k", "value"])
-    for n in range(tri.n_max + 1):
-        for k in range(n + 1):
-            w.writerow([n, k, tri.rows[n][k]])
+    with _exact_digits():
+        for n in range(tri.n_max + 1):
+            for k in range(n + 1):
+                w.writerow([n, k, tri.rows[n][k]])
     return buf.getvalue()
 
 
 def triangle_from_csv(text):
+    """Read back triangle_to_csv's output; only the value column is
+    parsed past the int-to-str digit limit."""
     rows = list(csv.reader(io.StringIO(text)))
     if len(rows) < 3 or rows[0] != ["kind", "m", "r"] \
             or rows[2] != ["n", "k", "value"]:
@@ -656,12 +581,13 @@ def triangle_from_csv(text):
     kind, m, r = rows[1][0], int(rows[1][1]), int(rows[1][2])
     if kind not in ("first", "second"):
         raise ValueError(f"unknown triangle kind {kind!r}")
+    body = [row for row in rows[3:] if row]
+    with _exact_digits():
+        values = [int(row[2]) for row in body]
     entries = {}
     n_max = -1
-    for row in rows[3:]:
-        if not row:
-            continue
-        n, k, value = int(row[0]), int(row[1]), int(row[2])
+    for row, value in zip(body, values):
+        n, k = int(row[0]), int(row[1])
         entries[(n, k)] = value
         n_max = max(n_max, n)
     tri_rows = []

@@ -151,10 +151,15 @@ def _dowling_numbers(m, n):
 
 def _refuse_over(what, sizes, cap_elements):
     """Raise TooLarge at the first of sizes, increasing lower bounds on
-    the size of what, over the cap; no later, larger size is formed."""
+    the size of what, over the cap; no later, larger size is formed.
+    A size too long to print exactly is worded as a power of two."""
     for size in sizes:
         if size > cap_elements:
-            raise TooLarge(f"{what} has at least {size} elements, "
+            try:
+                shown = str(size)
+            except ValueError:  # past the int-to-str digit limit
+                shown = f"2^{size.bit_length() - 1}"
+            raise TooLarge(f"{what} has at least {shown} elements, "
                            f"over the cap {cap_elements}")
 
 

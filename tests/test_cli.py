@@ -310,6 +310,18 @@ def test_dowling_numbers_past_int_str_digit_limit(capsys):
     assert Decimal(last[1]) == dowling.r_dowling_number(1, r, 50)
 
 
+def test_dowling_table_round_trip_past_int_str_digit_limit(capsys):
+    # W_{1,r}(50, 0) = r**50 with r = 10**100 has 5001 digits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run_cli(capsys, "dowling", "table", "--kind", "second",
+                             "--m", "1", "--r", "1" + "0" * 100,
+                             "--nmax", "50")
+    assert code == 0, err
+    tri = dowling.triangle_from_csv(out)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    assert tri == dowling.whitney_second_table(1, 10 ** 100, 50)
+
+
 def test_asym_dowling(capsys):
     code, data, _ = run_json(capsys, "asym", "dowling", "--m", "1",
                              "--r", "1", "--n", "50", "--compare-exact")

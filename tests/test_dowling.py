@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from geomsieve import dowling, generators
 from geomsieve.dowling import (
-    BigIntSeries,
     PartialGPartition,
     build_Qn,
     canonical_tau_index,
@@ -225,15 +224,15 @@ def test_orthogonality():
 
 def test_conv_series():
     ser = conv_series(1, 1, 1, 6)
-    assert ser.coeffs == (1, 2, 4, 8, 16, 32, 64)
+    assert ser == (1, 2, 4, 8, 16, 32, 64)
     for m in (1, 2, 3):
         for n in (0, 1, 3):
             ser = conv_series(m, n, n, 8)
             for s in range(9):
-                assert ser.coefficient(s) == (1 + n * m) ** s
+                assert ser[s] == (1 + n * m) ** s
     # below the diagonal the series vanishes identically
     zero = conv_series(2, 3, 1, 5)
-    assert all(c == 0 for c in zero.coeffs)
+    assert all(c == 0 for c in zero)
 
 
 def test_conv_series_n0_is_second_kind_series():
@@ -242,7 +241,7 @@ def test_conv_series_n0_is_second_kind_series():
             ser = conv_series(m, 0, t, 12)
             tri = whitney_second_table(m, 1, 12)
             for s in range(13):
-                assert ser.coefficient(s) == tri.value(s, t)
+                assert ser[s] == tri.value(s, t)
 
 
 def test_conv_equals_shifted_rwhitney():
@@ -255,21 +254,21 @@ def test_conv_equals_shifted_rwhitney():
 
 
 def test_series_arithmetic():
-    a = BigIntSeries.geometric(3, 5)
-    assert a.coeffs == (1, 3, 9, 27, 81, 243)
-    one = BigIntSeries.one(5)
-    assert (a * a.inverse()).coeffs == one.coeffs
-    b = a.shift(2)
-    assert b.coeffs == (0, 0, 1, 3, 9, 27)
-    s = a + b
-    assert s.coeffs == (1, 3, 10, 30, 90, 270)
-    assert a.scale(-2).coeffs == (-2, -6, -18, -54, -162, -486)
-    with pytest.raises(ValueError):
-        a + BigIntSeries.one(3)
-    with pytest.raises(ValueError):
-        BigIntSeries.zero(4).inverse()
-    with pytest.raises(ValueError):
-        a.shift(-1)
+    # one factor: the geometric row 1 / (1 - 3x) for m = 2, n = t = 1
+    assert conv_series(2, 1, 1, 5) == (1, 3, 9, 27, 81, 243)
+    # two factors: x / ((1 - 3x)(1 - 5x)), the convolution of two rows
+    threes = [3 ** i for i in range(7)]
+    fives = [5 ** i for i in range(7)]
+    product = [sum(threes[i] * fives[s - i] for i in range(s + 1))
+               for s in range(7)]
+    assert conv_series(2, 1, 2, 7) == (0, *product)
+    # x^(t-n) past the truncation order leaves nothing
+    assert conv_series(2, 1, 9, 7) == (0,) * 8
+    assert conv_series(1, 0, 6, 5) == (0,) * 6
+    assert conv_series(1, 0, 5, 5) == (0,) * 5 + (1,)
+    for args in ((1, -1, 2, 3), (1, 0, -1, 3), (1, 0, 2, -1)):
+        with pytest.raises(ValueError):
+            conv_series(*args)
 
 
 def test_sieve_closed_form_spot():

@@ -33,8 +33,9 @@ def test_huge_dowling_refused_without_filling_triangle_cache():
 
 
 def test_huge_names_refused_by_cli(capsys):
+    # the size of the last one, 10**4300, is past the int-to-str limit
     for name in ("partition:2000", "dowling:1500:2", "boolean:1000000000",
-                 "uniform:3000:100000"):
+                 "uniform:3000:100000", "chain:" + "9" * 4300):
         assert main(["lattice-check", name]) == 2
         err = capsys.readouterr().err
         assert "over the cap 5000" in err, err
