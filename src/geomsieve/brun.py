@@ -39,16 +39,22 @@ def _check_entries(seq):
                 f"entry {i} is {type(v).__name__}; use int or Fraction")
 
 
-def is_unimodal(seq):
-    """(True, peak) with the smallest valid peak index, or (False, None).
-
-    Entries must be non-negative (NegativeEntry otherwise).
-    """
+def _nonnegative(seq):
+    """seq as a checked list; NegativeEntry at a negative entry."""
     seq = list(seq)
     _check_entries(seq)
     for i, v in enumerate(seq):
         if v < 0:
             raise NegativeEntry(f"entry {i} is negative")
+    return seq
+
+
+def is_unimodal(seq):
+    """(True, peak) with the smallest valid peak index, or (False, None).
+
+    Entries must be non-negative (NegativeEntry otherwise).
+    """
+    seq = _nonnegative(seq)
     last = len(seq) - 1
     i1 = 0
     while i1 < last and seq[i1] <= seq[i1 + 1]:
@@ -66,11 +72,7 @@ def is_log_concave(seq):
 
     Entries must be non-negative (NegativeEntry otherwise).
     """
-    seq = list(seq)
-    _check_entries(seq)
-    for i, v in enumerate(seq):
-        if v < 0:
-            raise NegativeEntry(f"entry {i} is negative")
+    seq = _nonnegative(seq)
     for k in range(1, len(seq) - 1):
         if seq[k] * seq[k] < seq[k - 1] * seq[k + 1]:
             return False, k

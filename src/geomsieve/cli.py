@@ -40,10 +40,22 @@ from .sieve import (
 __all__ = ["main"]
 
 
+def _json_int(text):
+    """A JSON integer, exact within the interpreter's int-to-str digit
+    limit; past it, the sign is kept and the size read as its lower
+    bound 10^(digits - 1).  Every integer in lattice JSON is a size or
+    an index, so such a value is over any cap and refused by size."""
+    try:
+        return int(text)
+    except ValueError:  # past the digit limit
+        bound = 10 ** (len(text.lstrip("-")) - 1)
+        return -bound if text.startswith("-") else bound
+
+
 def _load_lattice(source, cap):
     if os.path.exists(source):
         with open(source, encoding="utf-8") as fh:
-            source = json.load(fh)
+            source = json.load(fh, parse_int=_json_int)
     elif ":" not in source:
         raise ValueError(f"{source!r} is neither a file nor a generator name")
     return generators.load_lattice(source, cap)
@@ -227,9 +239,8 @@ def _build_parser():
         description="Exact lattice sieve and Dowling-number toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_fmt(p, default="json"):
-        p.add_argument("--format", choices=["json", "text", "csv"],
-                       default=default)
+    def add_fmt(p, default="json", formats=("json", "text")):
+        p.add_argument("--format", choices=formats, default=default)
 
     p = sub.add_parser("lattice-check",
                        help="geometric axioms and sign-alternation check")
@@ -283,7 +294,7 @@ def _build_parser():
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--nmax", type=int, required=True)
-    add_fmt(p)
+    add_fmt(p, formats=("json", "text", "csv"))
     p.set_defaults(func=cmd_dowling_numbers)
 
     asy = sub.add_parser("asym", help="saddle-point asymptotics")

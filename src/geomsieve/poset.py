@@ -23,11 +23,19 @@ join.  With a top as well, all joins give all meets.
 
 The same pairs certify semimodularity: a finite graded lattice is
 semimodular iff x v y has rank r(z) + 2 whenever x and y cover z
-(Stanley, EC1, Prop. 3.3.2), so the first pair that breaks this is
-kept as the witness for is_geometric.
+(Stanley, EC1, Prop. 3.3.2).  The cover pairs inside [0, y] are those
+whose join lies below y, so the scan keeps the first breaking pair per
+join, and the first kept below y is the witness for [0, y].
+
+Atomistic, from lower-cover counts: an element of rank >= 2 covering a
+single y has all its atoms below y, so it is no join of atoms; and the
+first non-join of atoms in rank order covers a single element, since
+covering y1 != y2 makes it y1 v y2, a join of atoms.  So [0, y] is
+atomistic iff no such element lies below y; the first is the witness.
 """
 
 import threading
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -92,7 +100,10 @@ class FiniteLattice:
         self._idx_of = idx_of
         self._down = down
         self._up = up
-        self._semi_fail = semi_fail  # position pair or None, from build scan
+        self._semi_fail = semi_fail  # join position -> first breaking pair
+        lower = Counter(y for _x, y in covers)
+        self._lone = sum(1 << pos_of[v] for v in range(n)
+                         if rank[v] >= 2 and lower[v] == 1)
         self._mobius_cache = {}
         self._lock = threading.Lock()
 
@@ -152,28 +163,19 @@ class FiniteLattice:
         r(x ^ y) + r(x v y) <= r(x) + r(y) for every pair.  The first
         failed axiom is reported with a witness.
         """
-        atom_ups = [self._up[self._pos_of[a]] for a in self.atoms()]
-        pb = self._pos_of[self.bottom]
-        for p in range(self.n_elems):
-            if p == pb:
-                continue
-            dmask = self._down[p]
-            inter = None
-            for ua in atom_ups:
-                # atom a <= element at p iff bit p set in up[a]
-                if ua >> p & 1:
-                    inter = ua if inter is None else inter & ua
-            if inter is None:
-                return GeometricCheck(False, "NotAtomistic",
-                                      (self._idx_of[p],))
-            j = (inter & -inter).bit_length() - 1
-            if j != p:
-                return GeometricCheck(False, "NotAtomistic",
-                                      (self._idx_of[p],))
-        if self._semi_fail is not None:
-            px, py = self._semi_fail
-            return GeometricCheck(False, "NotSemimodular",
-                                  (self._idx_of[px], self._idx_of[py]))
+        return self._geometric_below(self.top)
+
+    def _geometric_below(self, y):
+        """is_geometric for [bottom, y], witnesses as indices of self."""
+        d = self._down[self._pos_of[y]]
+        lone = self._lone & d
+        if lone:
+            return GeometricCheck(False, "NotAtomistic", (
+                self._idx_of[(lone & -lone).bit_length() - 1],))
+        for j, (px, py) in self._semi_fail.items():
+            if d >> j & 1:
+                return GeometricCheck(False, "NotSemimodular",
+                                      (self._idx_of[px], self._idx_of[py]))
         return GeometricCheck(True)
 
     # -- Mobius function --------------------------------------------------
@@ -212,10 +214,14 @@ class FiniteLattice:
 
     def whitney_first(self):
         """w_i = sum of mu(bottom, y) over elements of rank i."""
+        return self._whitney_below(self.top)
+
+    def _whitney_below(self, y):
+        """whitney_first of [bottom, y], from this lattice's table."""
         table = self.mobius_table(self.bottom)
-        w = [0] * (self.top_rank + 1)
-        for y in range(self.n_elems):
-            w[self.rank[y]] += table[y]
+        w = [0] * (self.rank[y] + 1)
+        for v in self.down_set(y):
+            w[self.rank[v]] += table[v]
         return tuple(w)
 
     def whitney_second(self):
@@ -299,13 +305,13 @@ def _cover_scan(n, covers, up, rank):
     Positions must refine rank order and the poset must have a unique
     bottom and top.  Returns (join_fail, semi_fail): join_fail is the
     first cover pair without a join (the scan stops there), semi_fail
-    the first pair whose join does not sit two ranks above the element
-    they cover, or None.
+    maps each join position j, in scan order, to the first pair whose
+    join is j and does not sit two ranks above the element they cover.
     """
     parents = [[] for _ in range(n)]
     for x, y in covers:
         parents[x].append(y)
-    semi_fail = None
+    semi_fail = {}
     for z in range(n):
         ps = parents[z]
         rz2 = rank[z] + 2
@@ -316,8 +322,8 @@ def _cover_scan(n, covers, up, rank):
                 j = (u & -u).bit_length() - 1
                 if up[j] != u:
                     return (x, y), None
-                if semi_fail is None and rank[j] != rz2:
-                    semi_fail = (x, y)
+                if rank[j] != rz2:
+                    semi_fail.setdefault(j, (x, y))
     return None, semi_fail
 
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .errors import NotComparable, NotGeometric
 from .generators import DEFAULT_CAP, load_lattice
+from .poset import lattice_to_json
 
 __all__ = [
     "SieveInstance",
@@ -98,12 +99,11 @@ def count_above(inst, y):
 
 def _interval_whitney(inst):
     lat = inst.lattice
-    ivl, _members = lat.interval(lat.bottom, inst.tau)
-    chk = ivl.is_geometric()
+    chk = lat._geometric_below(inst.tau)
     if not chk:
         raise NotGeometric(
             f"[bottom, tau] fails {chk.failure} at {chk.witness}")
-    return ivl.whitney_first()
+    return lat._whitney_below(inst.tau)
 
 
 def sieve_main_term(inst):
@@ -152,18 +152,13 @@ def brun_bounds(inst, cutoff):
 def sieve_instance_to_json(inst, lattice_name=None):
     out = {
         "lattice": (lattice_name if lattice_name is not None
-                    else _lat_json(inst.lattice)),
+                    else lattice_to_json(inst.lattice)),
         "A": list(inst.A),
         "T": list(inst.T),
         "f": [str(v) for v in inst.f],
         "X": str(inst.X),
     }
     return out
-
-
-def _lat_json(lat):
-    from .poset import lattice_to_json
-    return lattice_to_json(lat)
 
 
 def sieve_instance_from_json(data, cap_elements=DEFAULT_CAP):

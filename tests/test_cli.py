@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 from decimal import Decimal
 
 import pytest
 
+import geomsieve
 from geomsieve import dowling, generators, poset
 from geomsieve.cli import main
 from geomsieve.poset import lattice_from_json, lattice_to_json
@@ -62,6 +64,15 @@ def test_lattice_check_text_format(capsys):
     lines = dict(line.split(": ", 1) for line in out.splitlines())
     assert lines["geometric"] == "True"
     assert lines["rank"] == "2"
+
+
+def test_csv_format_refused_where_no_csv_is_written(capsys):
+    # only `dowling numbers` writes CSV; elsewhere --format csv is a
+    # usage error, not a silent fall-back to text
+    with pytest.raises(SystemExit) as info:
+        main(["lattice-check", "boolean:2", "--format", "csv"])
+    assert info.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 def test_lattice_check_malformed_json(capsys, tmp_path):
@@ -160,9 +171,15 @@ def test_lattice_json_over_cap_refused_before_build(capsys, tmp_path,
     def fail(*_args, **_kwargs):
         raise AssertionError("build_lattice called")
 
+    # an "n" past the int-to-str digit limit is sized, not misparsed
+    huge_path = tmp_path / "huge.json"
+    huge_path.write_text('{"n": ' + "9" * 4301 + ', "covers": []}',
+                         encoding="utf-8")
+
     monkeypatch.setattr(poset, "build_lattice", fail)
     for argv in (["lattice-check", str(lattice_path)],
-                 ["sieve-run", str(sieve_path)]):
+                 ["sieve-run", str(sieve_path)],
+                 ["lattice-check", str(huge_path)]):
         code, _out, err = run_cli(capsys, *argv)
         assert code == 2
         assert err.rstrip().endswith("over the cap 5000"), err
@@ -365,8 +382,12 @@ def test_output_deterministic(capsys):
 
 
 def test_module_entry_point():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        geomsieve.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "geomsieve.cli", "--help"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "lattice-check" in proc.stdout

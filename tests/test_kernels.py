@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomsieve import generators
-from geomsieve.errors import (MultipleMaxima, MultipleMinima, NotALattice,
-                              NotGraded)
+from geomsieve.errors import (LatticeError, MultipleMaxima, MultipleMinima,
+                              NotALattice, NotGraded)
 from geomsieve.poset import _transitive_closure, build_lattice
 
 import oracles
@@ -240,3 +240,28 @@ def set_families(draw):
 def test_certificate_matches_all_pairs_oracle(poset):
     n, covers = poset
     check_against_oracle(n, covers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(leveled_posets(), set_families()))
+def test_lower_intervals_read_from_parent(poset):
+    # The verdict and Whitney numbers of every [bottom, y], read from
+    # the parent's build data, match the interval rebuilt as a lattice
+    # of its own; witnesses are indices of the parent.
+    n, covers = poset
+    try:
+        lat = build_lattice(n, covers)
+    except LatticeError:
+        return
+    rel = oracles.leq_matrix(n, covers)
+    for y in range(n):
+        ivl, members = lat.interval(lat.bottom, y)
+        chk, rebuilt = lat._geometric_below(y), ivl.is_geometric()
+        assert chk.failure == rebuilt.failure
+        if chk.failure == "NotAtomistic":
+            assert chk.witness == (members[rebuilt.witness[0]],)
+        elif chk.failure == "NotSemimodular":
+            assert all(lat.leq(w, y) for w in chk.witness)
+            assert_breaks_semimodularity(lat, n, rel, chk.witness)
+        else:
+            assert lat._whitney_below(y) == ivl.whitney_first()

@@ -226,6 +226,44 @@ def test_main_term_requires_geometric_interval():
         sieve_main_term(inst)
 
 
+def test_geometric_interval_inside_non_geometric_lattice():
+    # Same lattice, T = [1, 2]: [bottom, 4] = {0, 1, 2, 4} is Boolean of
+    # rank 2, so both sums run with w = (1, -2, 1) though the lattice
+    # itself is not geometric.
+    covers = [(0, 1), (0, 2), (0, 3),
+              (1, 4), (2, 4), (2, 5), (3, 5),
+              (4, 6), (5, 6)]
+    lat = build_lattice(7, covers)
+    assert not lat.is_geometric()
+    f = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)]
+    inst = SieveInstance(lattice=lat, A=range(7), T=[1, 2], f=f,
+                         X=Fraction(6))
+    assert inst.tau == 4
+    w = (1, -2, 1)
+    n = lat.top_rank
+    assert sieve_main_term(inst) == 6 * sum(f[n - k] * w[k]
+                                            for k in range(3))
+    assert sieve_error_bound(inst) == sum((n - k) * f[n - k] * abs(w[k])
+                                          for k in range(3))
+
+
+def test_not_geometric_witness_is_an_element_of_the_lattice():
+    # Atoms 3 and 0; 4 covers only 3 and 2 covers only 0, so neither is
+    # a join of atoms.  The witness is reported as an index of the
+    # lattice itself (2 comes first in rank order), not of a renumbered
+    # copy of [bottom, tau].
+    covers = [(5, 3), (5, 0), (3, 4), (0, 2), (4, 1), (2, 1)]
+    lat = build_lattice(6, covers)
+    inst = SieveInstance(lattice=lat, A=range(6), T=[3, 0],
+                         f=[Fraction(1)] * 4, X=Fraction(1))
+    assert inst.tau == lat.top
+    for term in (sieve_main_term, sieve_error_bound):
+        with pytest.raises(NotGeometric) as info:
+            term(inst)
+        assert info.value.args[0] == (
+            "[bottom, tau] fails NotAtomistic at (2,)")
+
+
 def test_json_round_trip():
     inst = dowling.dowling_sieve_instance(3, 2, 1)
     data = sieve_instance_to_json(inst)
