@@ -7,147 +7,11 @@ Everything except the asymptotics module computes with exact integers
 and fractions, in pure Python with no build step.  Lattices are stored
 as bitmask rows of their order relation and certified on construction
 from pairs of covers (see geomsieve.poset).
+
+The public API lives in the submodules, each listed in its own __all__
+(for example geomsieve.poset.build_lattice or geomsieve.sieve.brun_bounds);
+the package re-exports nothing, so importing one submodule loads only
+what that submodule needs.
 """
 
-from . import asym, brun, dowling, generators, matroid, poset, sieve, verify
-from .asym import AsymComparison, SaddleData, compare_exact, saddle_values, solve_delta
-from .brun import (
-    BrunReport,
-    alternating_partial_sums_check,
-    is_log_concave,
-    is_unimodal,
-    verify_brun,
-)
-from .dowling import (
-    PartialGPartition,
-    WhitneyTriangle,
-    build_Qn,
-    conv_series,
-    dowling_number,
-    dowling_sieve_closed_form,
-    dowling_sieve_instance,
-    r_dowling_number,
-    r_whitney_definition_check,
-    shifted_convolution,
-    triangle_from_csv,
-    triangle_to_csv,
-    whitney_first_table,
-    whitney_second_table,
-)
-from .errors import (
-    BrunViolation,
-    Cyclic,
-    GeomsieveError,
-    HypothesisViolated,
-    LatticeError,
-    MatroidError,
-    MultipleMaxima,
-    MultipleMinima,
-    NegativeEntry,
-    NoConvergence,
-    NotAFlat,
-    NotALattice,
-    NotComparable,
-    NotGeometric,
-    NotGraded,
-    NotSimple,
-    TooLarge,
-)
-from .matroid import (
-    CharPoly,
-    Matroid,
-    char_poly,
-    flats_lattice,
-    matroid_from_json,
-    matroid_to_json,
-    mobius_via_closure,
-    simplify,
-)
-from .poset import (
-    FiniteLattice,
-    GeometricCheck,
-    MobiusTable,
-    build_lattice,
-    lattice_from_json,
-    lattice_to_json,
-)
-from .sieve import (
-    SieveInstance,
-    brun_bounds,
-    count_above,
-    parse_fraction,
-    sieve_error_bound,
-    sieve_instance_from_json,
-    sieve_instance_to_json,
-    sieve_main_term,
-    sifted_count_exact,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AsymComparison",
-    "BrunReport",
-    "BrunViolation",
-    "CharPoly",
-    "Cyclic",
-    "FiniteLattice",
-    "GeomsieveError",
-    "GeometricCheck",
-    "HypothesisViolated",
-    "LatticeError",
-    "Matroid",
-    "MatroidError",
-    "MobiusTable",
-    "MultipleMaxima",
-    "MultipleMinima",
-    "NegativeEntry",
-    "NoConvergence",
-    "NotAFlat",
-    "NotALattice",
-    "NotComparable",
-    "NotGeometric",
-    "NotGraded",
-    "NotSimple",
-    "PartialGPartition",
-    "SaddleData",
-    "SieveInstance",
-    "TooLarge",
-    "WhitneyTriangle",
-    "alternating_partial_sums_check",
-    "brun_bounds",
-    "build_Qn",
-    "build_lattice",
-    "char_poly",
-    "compare_exact",
-    "conv_series",
-    "count_above",
-    "dowling_number",
-    "dowling_sieve_closed_form",
-    "dowling_sieve_instance",
-    "flats_lattice",
-    "is_log_concave",
-    "is_unimodal",
-    "lattice_from_json",
-    "lattice_to_json",
-    "matroid_from_json",
-    "matroid_to_json",
-    "mobius_via_closure",
-    "parse_fraction",
-    "r_dowling_number",
-    "r_whitney_definition_check",
-    "saddle_values",
-    "shifted_convolution",
-    "sieve_error_bound",
-    "sieve_instance_from_json",
-    "sieve_instance_to_json",
-    "sieve_main_term",
-    "sifted_count_exact",
-    "simplify",
-    "solve_delta",
-    "triangle_from_csv",
-    "triangle_to_csv",
-    "verify_brun",
-    "whitney_first_table",
-    "whitney_second_table",
-]

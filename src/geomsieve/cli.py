@@ -200,7 +200,7 @@ def cmd_dowling_numbers(args):
                 sys.stdout.write(f"{n},{v}\n")
     else:
         _emit({"m": args.m, "r": r,
-               "values": values}, "json")
+               "values": values}, args.format)
     return 0
 
 

@@ -189,21 +189,37 @@ class Matroid:
 
         The order matches the element indices of flats_lattice().
         """
-        seen = {self._closure_mask(0)}
-        frontier = list(seen)
-        while frontier:
+        masks, _ = self._flat_covers()
+        return [_to_set(m) for m in masks]
+
+    def _flat_covers(self):
+        """Flat masks in flats() order, and the cover pairs (i, j) of
+        flat i covered by flat j, from one sweep up from cl(empty).
+
+        For a flat F and an element e outside it, cl(F + e) covers F,
+        and the flats covering F partition the elements outside F.  So
+        sweep level k holds the flats of rank k, and each cover is met
+        once, skipping the elements of the covers already found.
+        """
+        level = [self._closure_mask(0)]
+        seen = set(level)
+        masks, pairs = [], []
+        while level:
+            masks.extend(sorted(level, key=_sorted_tuple))
             nxt = []
-            for fl in frontier:
+            for fl in level:
+                covered = fl
                 for e in range(self.ground_size):
-                    if not fl >> e & 1:
+                    if not covered >> e & 1:
                         g = self._closure_mask(fl | (1 << e))
+                        covered |= g
+                        pairs.append((fl, g))
                         if g not in seen:
                             seen.add(g)
                             nxt.append(g)
-            frontier = nxt
-        flats = sorted(seen,
-                       key=lambda m: (self._rank_fn(m), _sorted_tuple(m)))
-        return [_to_set(m) for m in flats]
+            level = nxt
+        index = {m: i for i, m in enumerate(masks)}
+        return masks, [(index[f], index[g]) for f, g in pairs]
 
 
 def flats_lattice(matroid):
@@ -214,16 +230,10 @@ def flats_lattice(matroid):
     """
     if not matroid.is_simple():
         raise NotSimple(f"{matroid!r} has loops or parallel elements")
-    flats = matroid.flats()
-    masks = [_to_mask(f, matroid.ground_size) for f in flats]
-    ranks = [matroid.rank_of(f) for f in flats]
-    covers = []
-    for i, mi in enumerate(masks):
-        for j, mj in enumerate(masks):
-            if ranks[j] == ranks[i] + 1 and mi & mj == mi:
-                covers.append((i, j))
-    labels = ["{" + ",".join(map(str, sorted(f))) + "}" for f in flats]
-    return build_lattice(len(flats), covers, labels)
+    masks, covers = matroid._flat_covers()
+    labels = ["{" + ",".join(map(str, _sorted_tuple(m))) + "}"
+              for m in masks]
+    return build_lattice(len(masks), covers, labels)
 
 
 @dataclass(frozen=True)

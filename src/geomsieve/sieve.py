@@ -39,8 +39,16 @@ def parse_fraction(value):
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"{value!r} has a zero denominator") from None
     raise ValueError(f"cannot read {value!r} as an exact rational")
+
+
+def _is_index(value):
+    """An int that is not a bool: JSON true would otherwise read as 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -63,10 +71,10 @@ class SieveInstance:
         object.__setattr__(self, "X", parse_fraction(self.X))
         atoms = set(lat.atoms())
         for t in self.T:
-            if t not in atoms:
+            if not _is_index(t) or t not in atoms:
                 raise ValueError(f"T entry {t} is not an atom")
         for a in self.A:
-            if not 0 <= a < lat.n_elems:
+            if not _is_index(a) or not 0 <= a < lat.n_elems:
                 raise ValueError(f"A entry {a} is not an element index")
         n = lat.top_rank
         if len(self.f) != n + 1:

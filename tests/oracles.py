@@ -191,6 +191,15 @@ def naive_closure(mat, subset):
                      if mat.rank_of(subset | {x}) == r)
 
 
+def naive_flat_covers(mat, flats):
+    """Cover pairs (i, j) of a list of flats: r(F_j) = r(F_i) + 1 and
+    F_i a proper subset of F_j, by a scan over all pairs."""
+    ranks = [mat.rank_of(f) for f in flats]
+    return sorted((i, j) for i, fi in enumerate(flats)
+                  for j, fj in enumerate(flats)
+                  if ranks[j] == ranks[i] + 1 and fi < fj)
+
+
 def naive_sifted_count(lat, A, tau):
     """Count of a in A with meet(a, tau) == bottom, via naive meets."""
     rel = {(x, y) for x in range(lat.n_elems) for y in range(lat.n_elems)

@@ -1,8 +1,13 @@
-"""Every exported name resolves: a deletion must not leave a dangling
-entry in the package's or any submodule's __all__."""
+"""The public API lives in the submodules: every name in a submodule's
+__all__ resolves, and the package itself re-exports nothing, so a
+submodule import loads only what that submodule needs."""
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -12,15 +17,34 @@ SUBMODULES = sorted(info.name for info in
                     pkgutil.iter_modules(geomsieve.__path__))
 
 
-def test_package_exports_resolve():
-    missing = [name for name in geomsieve.__all__
-               if not hasattr(geomsieve, name)]
-    assert missing == []
-
-
 @pytest.mark.parametrize("name", SUBMODULES)
 def test_submodule_exports_resolve(name):
     module = importlib.import_module(f"geomsieve.{name}")
     missing = [attr for attr in getattr(module, "__all__", ())
                if not hasattr(module, attr)]
     assert missing == []
+
+
+def _loaded_after(statement):
+    """Names in sys.modules after running statement in a fresh
+    interpreter with only the source tree added to the path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        geomsieve.__file__)))
+    code = (f"import json, sys\n{statement}\n"
+            "print(json.dumps(sorted(sys.modules)))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_submodule_imports_load_only_what_they_need():
+    loaded = _loaded_after("import geomsieve")
+    assert sorted(m for m in loaded if m.startswith("geomsieve.")) == []
+
+    loaded = _loaded_after("import geomsieve.poset, geomsieve.sieve")
+    assert {"geomsieve.poset", "geomsieve.sieve"} <= loaded
+    unneeded = {"mpmath", "geomsieve.asym", "geomsieve.verify",
+                "geomsieve.matroid", "geomsieve.dowling", "geomsieve.cli"}
+    assert sorted(unneeded & loaded) == []

@@ -193,6 +193,20 @@ def test_sieve_run_missing_key(capsys, tmp_path):
     assert "sieve JSON" in err
 
 
+@pytest.mark.parametrize("field, value", [("f", ["1/0", 1, 1]),
+                                          ("X", "3/0")])
+def test_sieve_run_zero_denominator_is_usage_error(capsys, tmp_path,
+                                                   field, value):
+    blob = {"lattice": "boolean:2", "A": "all", "T": [1], "f": [1, 1, 1],
+            "X": 1, field: value}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    code, _out, err = run_cli(capsys, "sieve-run", str(path))
+    assert code == 2
+    assert err.startswith("error:") and "zero denominator" in err
+    assert "Traceback" not in err
+
+
 def test_verify_all_fast_scope_text(capsys):
     code, out, _ = run_cli(capsys, "verify-all", "--fast",
                            "--scope", "sieve")
@@ -296,6 +310,13 @@ def test_dowling_numbers_json(capsys):
     assert code == 0
     assert data["values"] == [1, 2, 6, 24, 116, 648]
     assert data["r"] == 1
+
+
+def test_dowling_numbers_text(capsys):
+    code, out, _ = run_cli(capsys, "dowling", "numbers", "--m", "1",
+                           "--nmax", "2", "--format", "text")
+    assert code == 0
+    assert out.splitlines() == ["m: 1", "r: 1", "values: [1, 2, 5]"]
 
 
 def test_dowling_numbers_csv(capsys):

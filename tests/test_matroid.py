@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomsieve import matroid
+from geomsieve import matroid, verify
 from geomsieve.errors import MatroidError, NotAFlat, NotSimple, TooLarge
 from geomsieve.matroid import (
     CharPoly,
@@ -138,6 +138,22 @@ def test_flats_lattice_requires_simple():
         flats_lattice(Matroid.uniform(1, 2))  # parallel pair
     with pytest.raises(NotSimple):
         flats_lattice(Matroid.uniform(0, 1))  # loop
+
+
+# the zoo, plus a simplified multigraph with a loop and a parallel pair
+FLAT_CASES = dict(verify.zoo_matroids())
+FLAT_CASES["simplified:k4-multigraph"] = simplify(Matroid.graphic(
+    4, [(0, 1), (0, 1), (1, 2), (2, 3), (0, 3), (1, 3), (2, 2)]))[0]
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_CASES))
+def test_flats_lattice_covers_match_pair_scan(name):
+    mat = FLAT_CASES[name]
+    flats = mat.flats()
+    lat = flats_lattice(mat)
+    assert lat.covers == tuple(oracles.naive_flat_covers(mat, flats))
+    assert lat.labels == ["{" + ",".join(map(str, sorted(f))) + "}"
+                          for f in flats]
 
 
 def test_flats_are_sorted_and_closed(u24):

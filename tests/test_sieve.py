@@ -46,6 +46,18 @@ def test_parse_fraction():
         parse_fraction(0.5)
     with pytest.raises(ValueError):
         parse_fraction("abc")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_fraction("1/0")
+
+
+def test_instance_refuses_non_integer_indices():
+    lat = generators.parse_named("boolean:2")
+    good_f = [Fraction(0)] * 3
+    with pytest.raises(ValueError, match="T entry True is not an atom"):
+        SieveInstance(lattice=lat, A=[0], T=[True], f=good_f, X=1)
+    with pytest.raises(ValueError,
+                       match="A entry 1.0 is not an element index"):
+        SieveInstance(lattice=lat, A=[0, 1.0], T=[], f=good_f, X=1)
 
 
 def test_instance_validation():
