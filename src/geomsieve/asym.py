@@ -9,13 +9,12 @@ where delta is the unique positive root of delta (r + e^{m delta}) = n,
 g0 = r delta + (e^{m delta} - 1)/m and g2 = (n + m delta^2 e^{m delta})/2.
 Everything is evaluated in log space with mpmath working precision,
 so n can be large; compare_exact() measures the approximation against
-the exact triangle row sum.
+the exact triangle row sum.  mpmath is imported by the functions that
+evaluate, so loading this module (as the CLI does) does not load it.
 """
 
 import math
 from dataclasses import dataclass
-
-import mpmath as mp
 
 from .dowling import r_dowling_number
 from .errors import NoConvergence
@@ -45,6 +44,8 @@ def solve_delta(m, r, n, *, digits=50, max_iter=200):
     tolerance 1e-30; exceeding the iteration budget raises
     NoConvergence.
     """
+    import mpmath as mp
+
     _validate(m, r, n)
     with mp.workdps(digits + 15):
         nn = mp.mpf(n)
@@ -110,6 +111,8 @@ def saddle_values(m, r, n, *, digits=50):
     log n! is exact (big-integer factorial) up to n = 10^4 and
     loggamma beyond.
     """
+    import mpmath as mp
+
     _validate(m, r, n)
     delta = solve_delta(m, r, n, digits=digits)
     with mp.workdps(digits + 15):
@@ -143,6 +146,8 @@ class AsymComparison:
 
 
 def compare_exact(m, r, n, *, digits=50):
+    import mpmath as mp
+
     data = saddle_values(m, r, n, digits=digits)
     exact = r_dowling_number(m, r, n)
     with mp.workdps(digits + 15):

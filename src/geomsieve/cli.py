@@ -22,8 +22,6 @@ import json
 import os
 import sys
 
-import mpmath as mp
-
 from . import dowling, generators, verify
 from .brun import verify_brun
 from .dowling import _exact_digits
@@ -205,6 +203,8 @@ def cmd_dowling_numbers(args):
 
 
 def cmd_asym_dowling(args):
+    import mpmath as mp
+
     from .asym import compare_exact, saddle_values
 
     digits = args.digits

@@ -21,7 +21,7 @@ from itertools import accumulate
 from math import comb
 
 from .errors import TooLarge
-from .poset import build_lattice, lattice_from_json
+from .poset import _json_size, build_lattice, lattice_from_json
 
 __all__ = [
     "boolean_lattice",
@@ -168,8 +168,7 @@ def load_lattice(source, cap_elements=DEFAULT_CAP):
     refusing it before the build if it has more elements than the cap."""
     if isinstance(source, str):
         return parse_named(source, cap_elements)
-    if isinstance(source, dict) and "n" in source:
-        _refuse_over("lattice JSON", [int(source["n"])], cap_elements)
+    _refuse_over("lattice JSON", [_json_size(source)], cap_elements)
     return lattice_from_json(source)
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import NotComparable, NotGeometric
 from .generators import DEFAULT_CAP, load_lattice
-from .poset import lattice_to_json
+from .poset import _is_index, lattice_to_json
 
 __all__ = [
     "SieveInstance",
@@ -44,11 +44,6 @@ def parse_fraction(value):
         except ZeroDivisionError:
             raise ValueError(f"{value!r} has a zero denominator") from None
     raise ValueError(f"cannot read {value!r} as an exact rational")
-
-
-def _is_index(value):
-    """An int that is not a bool: JSON true would otherwise read as 1."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -178,8 +173,16 @@ def sieve_instance_from_json(data, cap_elements=DEFAULT_CAP):
     for key in ("lattice", "A", "T", "f", "X"):
         if key not in data:
             raise ValueError(f'sieve JSON needs "{key}"')
-    lat = load_lattice(data["lattice"], cap_elements)
+    if not isinstance(data["lattice"], (str, dict)):
+        raise ValueError(
+            'sieve JSON "lattice" must be a generator name or an object')
     a = data["A"]
+    if not (isinstance(a, list) or a == "all"):
+        raise ValueError('sieve JSON "A" must be a list or "all"')
+    for key in ("T", "f"):
+        if not isinstance(data[key], list):
+            raise ValueError(f'sieve JSON "{key}" must be a list')
+    lat = load_lattice(data["lattice"], cap_elements)
     if a == "all":
         a = list(range(lat.n_elems))
     return SieveInstance(lattice=lat, A=a, T=data["T"],

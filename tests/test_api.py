@@ -1,6 +1,7 @@
 """The public API lives in the submodules: every name in a submodule's
 __all__ resolves, and the package itself re-exports nothing, so a
-submodule import loads only what that submodule needs."""
+submodule import loads only what that submodule needs.  mpmath is
+loaded only when an asymptotic is computed."""
 
 import importlib
 import json
@@ -48,3 +49,13 @@ def test_submodule_imports_load_only_what_they_need():
     unneeded = {"mpmath", "geomsieve.asym", "geomsieve.verify",
                 "geomsieve.matroid", "geomsieve.dowling", "geomsieve.cli"}
     assert sorted(unneeded & loaded) == []
+
+    for statement in ("import geomsieve.cli", "import geomsieve.asym"):
+        assert "mpmath" not in _loaded_after(statement)
+
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from geomsieve import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['lattice-check', 'boolean:3']) == 0")
+    assert "geomsieve.cli" in loaded and "mpmath" not in loaded

@@ -91,6 +91,23 @@ def test_lattice_check_wrong_shape_json(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("blob, field", [
+    ({"n": 2.5, "covers": [[0, 1]]}, '"n"'),
+    ({"n": True, "covers": []}, '"n"'),
+    ({"n": "2", "covers": [[0, 1]]}, '"n"'),
+    ({"n": 2, "covers": [[0, True]]}, '"covers"[0]'),
+    ({"n": 2, "covers": [[0, 1.0]]}, '"covers"[0]'),
+    ({"n": 2, "covers": 5}, '"covers"'),
+])
+def test_lattice_json_field_types_refused(capsys, tmp_path, blob, field):
+    # Floats, booleans and strings are not read as integers.
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    code, out, err = run_cli(capsys, "lattice-check", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: lattice JSON {field} must be")
+
+
 def test_lattice_check_unknown_generator(capsys):
     code, _out, err = run_cli(capsys, "lattice-check", "mystery:3")
     assert code == 2

@@ -1,5 +1,6 @@
-"""Tests of the bitset kernels behind build_lattice: the transitive
-closure and the cover-pair certificate.
+"""Tests of the bitset kernels behind build_lattice and its queries:
+the transitive closure, the cover-pair certificate, the set-bit walk
+and the Mobius table.
 
 The certificate checks joins and semimodularity only on pairs of upper
 covers of a common element, so its verdicts are played against the
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from geomsieve import generators
 from geomsieve.errors import (LatticeError, MultipleMaxima, MultipleMinima,
                               NotALattice, NotGraded)
-from geomsieve.poset import _transitive_closure, build_lattice
+from geomsieve.poset import _bits, _transitive_closure, build_lattice
 
 import oracles
 
@@ -265,3 +266,71 @@ def test_lower_intervals_read_from_parent(poset):
             assert_breaks_semimodularity(lat, n, rel, chk.witness)
         else:
             assert lat._whitney_below(y) == ivl.whitney_first()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(leveled_posets(), set_families()))
+def test_mobius_tables_match_naive_oracle(poset):
+    # Every base, on random lattices: value masks and the bit walk
+    # together give the zeta-inversion values.
+    n, covers = poset
+    try:
+        lat = build_lattice(n, covers)
+    except LatticeError:
+        return
+    mu = oracles.naive_mobius_matrix(n, oracles.leq_matrix(n, covers))
+    for x in range(n):
+        assert lat.mobius_table(x).values == tuple(mu[x, y]
+                                                   for y in range(n))
+
+
+def test_mobius_takes_both_branches(monkeypatch):
+    # Branch k (k = 2..5) is k atoms, one rank-2 element above them
+    # and one rank-3 element above that; a top closes the branches.
+    # Before rank 3, mu takes the values 1, -1 and k - 1: five masks.
+    # The rank-3 element of branch 2 has four elements below it, so it
+    # is summed by the bit walk; the top has 23 and is summed by masks.
+    covers, branches, n = [], {}, 1
+    for k in range(2, 6):
+        atoms, b, c = list(range(n, n + k)), n + k, n + k + 1
+        n += k + 2
+        covers += [(0, a) for a in atoms] + [(a, b) for a in atoms]
+        covers.append((b, c))
+        branches[k] = c
+    covers += [(c, n) for c in branches.values()]
+    n += 1
+    lat = build_lattice(n, covers)
+    assert lat.top == n - 1 and lat.top_rank == 4
+    walked = []
+
+    def recording_bits(mask):
+        walked.append(mask)
+        return _bits(mask)
+
+    monkeypatch.setattr("geomsieve.poset._bits", recording_bits)
+    table = lat.mobius_table(lat.bottom)
+    mu = oracles.naive_mobius_matrix(n, oracles.leq_matrix(n, covers))
+    assert table.values == tuple(mu[0, y] for y in range(n))
+    pos = lat._pos_of
+
+    def below(y):
+        return lat._down[pos[y]] & ~(1 << pos[y])
+
+    c = branches[2]
+    assert below(c).bit_count() == 4
+    assert below(c) in walked
+    assert below(lat.top) not in walked
+
+
+def _bits_reference(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+@pytest.mark.parametrize("mask", [
+    0, 1, 1 << 63, 1 << 64, 1 << 65, (1 << 63) | (1 << 64) | (1 << 65),
+    (1 << 64) - 1, (1 << 65) - 1,
+    sum(1 << i for i in random.Random(5).sample(range(5000), 40))
+    | 1 << 4999,
+])
+def test_bits_lists_set_positions_ascending(mask):
+    assert list(_bits(mask)) == _bits_reference(mask)

@@ -304,3 +304,12 @@ def test_json_rejects_malformed():
         sieve_instance_from_json([])
     with pytest.raises(ValueError):
         sieve_instance_from_json({"lattice": "boolean:2"})
+
+
+@pytest.mark.parametrize("key, value", [("A", 5), ("T", 1), ("f", 7),
+                                        ("lattice", 5)])
+def test_json_shape_errors_name_their_key(key, value):
+    data = {"lattice": "boolean:2", "A": "all", "T": [1], "f": [1, 1, 1],
+            "X": 1, key: value}
+    with pytest.raises(ValueError, match=f'sieve JSON "{key}" must be'):
+        sieve_instance_from_json(data)
