@@ -50,6 +50,18 @@ def _json_int(text):
         return -bound if text.startswith("-") else bound
 
 
+def _exact_json_int(text):
+    """A JSON integer in a sieve file: an exact value, so past the
+    int-to-str digit limit it is refused, not bounded as in _json_int."""
+    try:
+        return int(text)
+    except ValueError:  # past the digit limit
+        raise ValueError(
+            f"sieve JSON has a {len(text.lstrip('-'))}-digit integer, past "
+            f"the {sys.get_int_max_str_digits()}-digit limit on exact "
+            "values") from None
+
+
 def _load_lattice(source, cap):
     if os.path.exists(source):
         with open(source, encoding="utf-8") as fh:
@@ -92,7 +104,7 @@ def cmd_lattice_check(args):
 
 def cmd_sieve_run(args):
     with open(args.path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_int=_exact_json_int)
     inst = sieve_instance_from_json(data, cap_elements=args.cap_elements)
     lat = inst.lattice
     rank_tau = lat.rank[inst.tau]

@@ -9,6 +9,10 @@ two blocks (m relabelings) or absorbing a block into the zero block,
 so rank(x) = n - #blocks(x): the bottom is the all-singletons element
 and the top is the empty partial partition.
 
+The build runs on plain canonical keys (blocks, exps) and makes no
+PartialGPartition; validated objects are made only for callers, by
+dowling_elements, covers_above and interval_profile_check.
+
 The triangle side is independent of the lattice side: first-kind rows
 w_m(n, k) and shifted second-kind rows W_{m,r}(n, k) come from their
 two-term recurrences over exact integers, and the test suite plays the
@@ -109,52 +113,37 @@ class PartialGPartition:
         return frozenset(range(self.n)) - self.support
 
     def label(self):
-        if not self.blocks:
-            return "~"
-        return "|".join(
-            ",".join(f"{x}^{e}" for x, e in zip(b, ex))
-            for b, ex in zip(self.blocks, self.exps))
+        return _label(self.blocks, self.exps)
 
     def covers_above(self):
-        """All elements covering this one, in a deterministic order."""
-        out = []
-        blocks, exps = self.blocks, self.exps
-        b = len(blocks)
-        for i in range(b):  # absorb block i into the zero block
-            out.append(PartialGPartition(
-                n=self.n, m=self.m,
-                blocks=blocks[:i] + blocks[i + 1:],
-                exps=exps[:i] + exps[i + 1:]))
-        for i in range(b):  # merge blocks i < j, shifting j's labels
-            for j in range(i + 1, b):
-                for t in range(self.m):
-                    mb, me = _merge_labeled(blocks[i], exps[i],
-                                            blocks[j],
-                                            tuple((e + t) % self.m
-                                                  for e in exps[j]))
-                    out.append(PartialGPartition(
-                        n=self.n, m=self.m,
-                        blocks=blocks[:i] + (mb,) + blocks[i + 1:j]
-                        + blocks[j + 1:],
-                        exps=exps[:i] + (me,) + exps[i + 1:j]
-                        + exps[j + 1:]))
-        return out
+        """All elements covering this one, in _upper_keys order."""
+        return [PartialGPartition(self.n, self.m, *key)
+                for key in _upper_keys(self.blocks, self.exps, self.m)]
 
 
-def _merge_labeled(b1, e1, b2, e2):
-    elems = []
-    exps = []
-    i = j = 0
-    while i < len(b1) or j < len(b2):
-        if j >= len(b2) or (i < len(b1) and b1[i] < b2[j]):
-            elems.append(b1[i])
-            exps.append(e1[i])
-            i += 1
-        else:
-            elems.append(b2[j])
-            exps.append(e2[j])
-            j += 1
-    return tuple(elems), tuple(exps)
+def _label(blocks, exps):
+    """Block notation of a key: "0^0,2^1|1^0", or "~" for the top."""
+    if not blocks:
+        return "~"
+    return "|".join(",".join(f"{x}^{e}" for x, e in zip(b, ex))
+                    for b, ex in zip(blocks, exps))
+
+
+def _upper_keys(blocks, exps, m):
+    """The keys covering the key (blocks, exps) in Q_n(Z_m), in a fixed
+    order: each block absorbed into the zero block, then each pair of
+    blocks i < j merged with j's labels shifted by t = 0..m-1."""
+    out = [(blocks[:i] + blocks[i + 1:], exps[:i] + exps[i + 1:])
+           for i in range(len(blocks))]
+    for i, (bi, ei) in enumerate(zip(blocks, exps)):
+        for j in range(i + 1, len(blocks)):
+            head_b, tail_b = blocks[:i], blocks[i + 1:j] + blocks[j + 1:]
+            head_e, tail_e = exps[:i], exps[i + 1:j] + exps[j + 1:]
+            for t in range(m):
+                mb, me = zip(*sorted(zip(
+                    bi + blocks[j], ei + tuple((e + t) % m for e in exps[j]))))
+                out.append((head_b + (mb,) + tail_b, head_e + (me,) + tail_e))
+    return out
 
 
 def partial_partition_leq(p, q):
@@ -188,16 +177,14 @@ def partial_partition_leq(p, q):
 
 
 def _enumerate_partial(n, m):
-    """All canonical partial partitions, deterministically ordered."""
+    """Keys (blocks, exps) of all elements, deterministically ordered."""
     out = []
     blocks = []
 
     def rec(i):
         if i == n:
-            out.append(PartialGPartition(
-                n=n, m=m,
-                blocks=tuple(tuple(b) for b, _ in blocks),
-                exps=tuple(tuple(e) for _, e in blocks)))
+            out.append((tuple(tuple(b) for b, _ in blocks),
+                        tuple(tuple(e) for _, e in blocks)))
             return
         rec(i + 1)  # i goes to the zero block
         blocks.append(([i], [0]))  # i starts a new block
@@ -217,15 +204,13 @@ def _enumerate_partial(n, m):
 
 @lru_cache(maxsize=None)
 def _qn_data(n, m):
-    elements = _enumerate_partial(n, m)
-    index = {p: i for i, p in enumerate(elements)}
-    covers = []
-    for i, p in enumerate(elements):
-        for q in p.covers_above():
-            covers.append((i, index[q]))
-    labels = [p.label() for p in elements]
-    lat = build_lattice(len(elements), covers, labels)
-    return elements, index, lat
+    """(keys, key -> index, lattice) for Q_n(Z_m)."""
+    keys = _enumerate_partial(n, m)
+    index = {key: i for i, key in enumerate(keys)}
+    covers = [(i, index[up]) for i, key in enumerate(keys)
+              for up in _upper_keys(*key, m)]
+    lat = build_lattice(len(keys), covers, [_label(*key) for key in keys])
+    return keys, index, lat
 
 
 def _check_caps(n, m, n_cap, m_cap):
@@ -251,7 +236,7 @@ def build_Qn(n, m, *, n_cap=5, m_cap=4):
 def dowling_elements(n, m, *, n_cap=5, m_cap=4):
     """The PartialGPartition for each lattice index of build_Qn(n, m)."""
     _check_caps(n, m, n_cap, m_cap)
-    return list(_qn_data(n, m)[0])
+    return [PartialGPartition(n, m, *key) for key in _qn_data(n, m)[0]]
 
 
 def canonical_tau_index(n, m, k, *, n_cap=5, m_cap=4):
@@ -260,12 +245,8 @@ def canonical_tau_index(n, m, k, *, n_cap=5, m_cap=4):
     _check_caps(n, m, n_cap, m_cap)
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    _elements, index, _lat = _qn_data(n, m)
-    tau = PartialGPartition(
-        n=n, m=m,
-        blocks=tuple((i,) for i in range(k, n)),
-        exps=tuple((0,) for _ in range(k, n)))
-    return index[tau]
+    tau = tuple((i,) for i in range(k, n)), ((0,),) * (n - k)
+    return _qn_data(n, m)[1][tau]
 
 
 def dowling_sieve_instance(n, m, k, *, n_cap=5, m_cap=4):
@@ -280,14 +261,10 @@ def dowling_sieve_instance(n, m, k, *, n_cap=5, m_cap=4):
     _check_caps(n, m, n_cap, m_cap)
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    elements, index, lat = _qn_data(n, m)
-    t_indices = []
-    for i in range(k):
-        atom = PartialGPartition(
-            n=n, m=m,
-            blocks=tuple((x,) for x in range(n) if x != i),
-            exps=tuple((0,) for x in range(n) if x != i))
-        t_indices.append(index[atom])
+    _keys, index, lat = _qn_data(n, m)
+    t_indices = [index[(tuple((x,) for x in range(n) if x != i),
+                        ((0,),) * (n - 1))]
+                 for i in range(k)]
     x_total = dowling_number(m, n)
     f = [Fraction(dowling_number(m, s), x_total) for s in range(n + 1)]
     return SieveInstance(lattice=lat, A=range(lat.n_elems), T=t_indices,
@@ -509,8 +486,8 @@ def interval_profile_check(n, m, element, *, n_cap=5, m_cap=4):
     convolution of theirs.
     """
     _check_caps(n, m, n_cap, m_cap)
-    elements, _index, lat = _qn_data(n, m)
-    p = elements[element]
+    keys, _index, lat = _qn_data(n, m)
+    p = PartialGPartition(n, m, *keys[element])
     b = p.num_blocks
 
     upper_expected = tuple(_second_rows(m, 1, b)[b][b - i]

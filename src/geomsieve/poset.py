@@ -457,8 +457,8 @@ def _json_size(data):
 
 def lattice_from_json(data):
     """Build from the plain-dict form; "n" and every cover entry must
-    be integers and "covers" a list of pairs, or ValueError names the
-    field."""
+    be integers, "covers" a list of pairs and "labels", when present, a
+    list with one entry per element, or ValueError names the field."""
     n = _json_size(data)
     covers = data["covers"]
     if not isinstance(covers, list):
@@ -468,5 +468,9 @@ def lattice_from_json(data):
                 and all(map(_is_index, pair))):
             raise ValueError(
                 f'lattice JSON "covers"[{i}] must be a pair of integers')
-    return build_lattice(n, [tuple(pair) for pair in covers],
-                         data.get("labels"))
+    labels = data.get("labels")
+    if "labels" in data and not (isinstance(labels, list)
+                                 and len(labels) == n):
+        raise ValueError(
+            'lattice JSON "labels" must be a list with one entry per element')
+    return build_lattice(n, [tuple(pair) for pair in covers], labels)

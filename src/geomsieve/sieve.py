@@ -12,6 +12,8 @@ on the exact count.
 All arithmetic is exact (ints and Fractions).
 """
 
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,12 +35,18 @@ __all__ = [
 
 
 def parse_fraction(value):
-    """Exact rational from an int or a 'p' / 'p/q' string."""
+    """Exact rational from an int or a 'p' / 'p/q' string; a run of
+    digits past the int-to-str digit limit is refused before it is read."""
     if isinstance(value, bool):
         raise ValueError("booleans are not rationals")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        run = limit and re.search(rf"\d{{{limit + 1},}}", value)
+        if run:
+            raise ValueError(f"a {len(run[0])}-digit integer is past the "
+                             f"{limit}-digit limit on exact values")
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -61,9 +69,9 @@ class SieveInstance:
         lat = self.lattice
         object.__setattr__(self, "A", tuple(self.A))
         object.__setattr__(self, "T", tuple(self.T))
-        object.__setattr__(self, "f",
-                           tuple(parse_fraction(v) for v in self.f))
-        object.__setattr__(self, "X", parse_fraction(self.X))
+        object.__setattr__(self, "f", tuple(
+            _read_exact(f"f[{s}]", v) for s, v in enumerate(self.f)))
+        object.__setattr__(self, "X", _read_exact("X", self.X))
         atoms = set(lat.atoms())
         for t in self.T:
             if not _is_index(t) or t not in atoms:
@@ -82,6 +90,14 @@ class SieveInstance:
         if self.X <= 0:
             raise ValueError("X must be positive")
         object.__setattr__(self, "tau", lat.join_all(self.T))
+
+
+def _read_exact(key, value):
+    """parse_fraction(value), its refusal prefixed with the key."""
+    try:
+        return parse_fraction(value)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def sifted_count_exact(inst):

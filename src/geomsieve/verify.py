@@ -2,7 +2,8 @@
 
 Each check exercises one verified statement at full scale and returns a
 CheckResult; run_checks() drives them for the CLI and the acceptance
-tests.  The classical oracles here (Bell and Stirling triangles) are
+tests.  The classical oracles (the Stirling triangles here, and the
+Bell triangle with which generators sizes partition lattices) are
 coded from their own recurrences, independent of the Whitney-triangle
 recurrences they are compared against.
 """
@@ -259,17 +260,6 @@ def check_saddle(fast=False):
     return True, "; ".join(details)
 
 
-def _bell_numbers(nmax):
-    rows = [[1]]
-    for _ in range(nmax):
-        prev = rows[-1]
-        row = [prev[-1]]
-        for v in prev:
-            row.append(row[-1] + v)
-        rows.append(row)
-    return [r[0] for r in rows]
-
-
 def _stirling1_signed(nmax):
     rows = [[1]]
     for n in range(1, nmax + 1):
@@ -302,7 +292,7 @@ def check_classical_oracles(fast=False):
     """m = 1 collapses to the classics: D_1(n) = Bell(n+1),
     |w_1(n,k)| = |s(n+1,k+1)|, W_1(n,k) = S(n+1,k+1)."""
     nmax = 15 if fast else 30
-    bell = _bell_numbers(nmax + 1)
+    bell = list(generators._bell_numbers(nmax + 1))
     s1 = _stirling1_signed(nmax + 1)
     s2 = _stirling2(nmax + 1)
     tri1 = dowling.whitney_first_table(1, nmax)

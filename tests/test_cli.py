@@ -98,9 +98,13 @@ def test_lattice_check_wrong_shape_json(capsys, tmp_path):
     ({"n": 2, "covers": [[0, True]]}, '"covers"[0]'),
     ({"n": 2, "covers": [[0, 1.0]]}, '"covers"[0]'),
     ({"n": 2, "covers": 5}, '"covers"'),
+    ({"n": 2, "covers": [[0, 1]], "labels": 5}, '"labels"'),
+    ({"n": 2, "covers": [[0, 1]], "labels": "ab"}, '"labels"'),
+    ({"n": 2, "covers": [[0, 1]], "labels": ["a", "b", "c"]}, '"labels"'),
 ])
 def test_lattice_json_field_types_refused(capsys, tmp_path, blob, field):
-    # Floats, booleans and strings are not read as integers.
+    # Floats, booleans and strings are not read as integers; "labels"
+    # is a list with one entry per element, never a string or a number.
     path = tmp_path / "typed.json"
     path.write_text(json.dumps(blob), encoding="utf-8")
     code, out, err = run_cli(capsys, "lattice-check", str(path))
@@ -222,6 +226,29 @@ def test_sieve_run_zero_denominator_is_usage_error(capsys, tmp_path,
     assert code == 2
     assert err.startswith("error:") and "zero denominator" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, template, key", [
+    ("X", "{}", ""),
+    ("X", '"{}"', "X: "),
+    ("f", '[1, "1/{}", 1]', "f[1]: "),
+], ids=["X-integer", "X-string", "f-string"])
+def test_sieve_run_refuses_values_past_digit_limit(capsys, tmp_path,
+                                                   field, template, key):
+    # Exact values past the int-to-str digit limit are refused in the
+    # integer and the string form, not read as a lower bound.
+    fields = {"lattice": '"boolean:2"', "A": '"all"', "T": "[1]",
+              "f": "[1, 1, 1]", "X": "1",
+              field: template.format("9" * 4301)}
+    path = tmp_path / "long.json"
+    path.write_text("{" + ", ".join(f'"{k}": {v}'
+                                    for k, v in fields.items()) + "}",
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "sieve-run", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {key}")
+    assert "4301-digit integer" in err and "Exceeds" not in err
+    assert err.count("\n") == 1
 
 
 def test_verify_all_fast_scope_text(capsys):

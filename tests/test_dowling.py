@@ -98,13 +98,26 @@ def test_partial_partition_rank_and_label():
 
 
 def test_order_test_matches_lattice():
-    for n, m in [(2, 2), (3, 2), (2, 3)]:
+    for n, m in [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)]:
         lat = build_Qn(n, m)
         elems = dowling.dowling_elements(n, m)
+        assert len(set(elems)) == len(elems) == r_dowling_number(m, 1, n)
         for i in range(len(lat)):
             for j in range(len(lat)):
                 assert lat.leq(i, j) == \
                     partial_partition_leq(elems[i], elems[j]), (n, m, i, j)
+
+
+def test_build_makes_no_partial_partition(monkeypatch):
+    # The build runs on (blocks, exps) keys; objects are made only for
+    # callers of dowling_elements.
+    calls = []
+    monkeypatch.setattr(PartialGPartition, "__post_init__",
+                        lambda self: calls.append(self))
+    dowling._qn_data.cache_clear()
+    lat = build_Qn(4, 3)
+    assert calls == []
+    assert len(dowling.dowling_elements(4, 3)) == len(calls) == len(lat)
 
 
 def test_covers_above_matches_lattice():
