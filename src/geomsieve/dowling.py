@@ -9,9 +9,9 @@ two blocks (m relabelings) or absorbing a block into the zero block,
 so rank(x) = n - #blocks(x): the bottom is the all-singletons element
 and the top is the empty partial partition.
 
-The build runs on plain canonical keys (blocks, exps) and makes no
-PartialGPartition; validated objects are made only for callers, by
-dowling_elements, covers_above and interval_profile_check.
+Each element is held as its canonical key (blocks, exps): blocks[i] is
+a sorted tuple of elements, exps[i] the parallel tuple of exponents,
+and the blocks are ordered by least element.
 
 The triangle side is independent of the lattice side: first-kind rows
 w_m(n, k) and shifted second-kind rows W_{m,r}(n, k) come from their
@@ -34,10 +34,7 @@ from .errors import TooLarge
 from .poset import build_lattice
 
 __all__ = [
-    "PartialGPartition",
-    "partial_partition_leq",
     "build_Qn",
-    "dowling_elements",
     "canonical_tau_index",
     "dowling_sieve_instance",
     "WhitneyTriangle",
@@ -58,68 +55,7 @@ __all__ = [
 ]
 
 
-# -- partial G-partitions ----------------------------------------------------
-
-@dataclass(frozen=True)
-class PartialGPartition:
-    """Canonical partial partition of {0..n-1} with Z_m block labels.
-
-    blocks[i] is a sorted tuple of elements, exps[i] the parallel tuple
-    of exponents; blocks are ordered by least element and the least
-    element of each block has exponent 0.
-    """
-
-    n: int
-    m: int
-    blocks: tuple
-    exps: tuple
-
-    def __post_init__(self):
-        seen = set()
-        last_min = -1
-        for b, e in zip(self.blocks, self.exps):
-            if len(b) != len(e) or not b:
-                raise ValueError("malformed block")
-            if list(b) != sorted(b):
-                raise ValueError("block elements must be sorted")
-            if b[0] <= last_min:
-                raise ValueError("blocks must be sorted by least element")
-            last_min = b[0]
-            if e[0] != 0:
-                raise ValueError("least element of a block needs exponent 0")
-            for x, ex in zip(b, e):
-                if not 0 <= x < self.n:
-                    raise ValueError(f"element {x} out of range")
-                if not 0 <= ex < self.m:
-                    raise ValueError(f"exponent {ex} out of range")
-                if x in seen:
-                    raise ValueError(f"element {x} in two blocks")
-                seen.add(x)
-
-    @property
-    def num_blocks(self):
-        return len(self.blocks)
-
-    @property
-    def rank(self):
-        return self.n - len(self.blocks)
-
-    @property
-    def support(self):
-        return frozenset(x for b in self.blocks for x in b)
-
-    @property
-    def uncovered(self):
-        return frozenset(range(self.n)) - self.support
-
-    def label(self):
-        return _label(self.blocks, self.exps)
-
-    def covers_above(self):
-        """All elements covering this one, in _upper_keys order."""
-        return [PartialGPartition(self.n, self.m, *key)
-                for key in _upper_keys(self.blocks, self.exps, self.m)]
-
+# -- canonical keys ----------------------------------------------------------
 
 def _label(blocks, exps):
     """Block notation of a key: "0^0,2^1|1^0", or "~" for the top."""
@@ -144,36 +80,6 @@ def _upper_keys(blocks, exps, m):
                     bi + blocks[j], ei + tuple((e + t) % m for e in exps[j]))))
                 out.append((head_b + (mb,) + tail_b, head_e + (me,) + tail_e))
     return out
-
-
-def partial_partition_leq(p, q):
-    """Direct test of the order relation (p below-or-equal q).
-
-    q must absorb or coarsen p: every q-block is a disjoint union of
-    p-blocks whose labelings it matches up to one Z_m shift per p-block.
-    Used in tests to cross-validate the cover-generated order.
-    """
-    if (p.n, p.m) != (q.n, q.m):
-        raise ValueError("elements live in different lattices")
-    where = {}
-    for i, b in enumerate(p.blocks):
-        for x in b:
-            where[x] = i
-    for b, ex in zip(q.blocks, q.exps):
-        beta = dict(zip(b, ex))
-        bset = set(b)
-        shifts = {}
-        for x in b:
-            i = where.get(x)
-            if i is None:
-                return False
-            if not set(p.blocks[i]) <= bset:
-                return False
-            alpha = dict(zip(p.blocks[i], p.exps[i]))
-            shift = (beta[x] - alpha[x]) % p.m
-            if shifts.setdefault(i, shift) != shift:
-                return False
-    return True
 
 
 def _enumerate_partial(n, m):
@@ -225,18 +131,12 @@ def _check_caps(n, m, n_cap, m_cap):
 def build_Qn(n, m, *, n_cap=5, m_cap=4):
     """The Dowling lattice Q_n(Z_m) as a FiniteLattice.
 
-    Element i is dowling_elements(n, m)[i]; labels carry the canonical
-    block notation.  Guarded by caps because the size D_m(n) grows
-    fast.
+    Element i is the i-th canonical key of _enumerate_partial; labels
+    carry its block notation.  Guarded by caps because the size D_m(n)
+    grows fast.
     """
     _check_caps(n, m, n_cap, m_cap)
     return _qn_data(n, m)[2]
-
-
-def dowling_elements(n, m, *, n_cap=5, m_cap=4):
-    """The PartialGPartition for each lattice index of build_Qn(n, m)."""
-    _check_caps(n, m, n_cap, m_cap)
-    return [PartialGPartition(n, m, *key) for key in _qn_data(n, m)[0]]
 
 
 def canonical_tau_index(n, m, k, *, n_cap=5, m_cap=4):
@@ -466,6 +366,8 @@ class IntervalProfileReport:
     upper_actual: tuple
     lower_expected: tuple
     lower_actual: tuple
+    first_expected: tuple
+    first_actual: tuple
 
 
 def _convolve(a, b):
@@ -477,42 +379,54 @@ def _convolve(a, b):
 
 
 def interval_profile_check(n, m, element, *, n_cap=5, m_cap=4):
-    """Rank profiles of [bottom, e] and [e, top] in Q_n(Z_m) against
-    the product/relabeling structure they must have.
+    """Rank profiles of [bottom, e] and [e, top] in Q_n(Z_m), and the
+    first-kind Whitney numbers of [bottom, e], against the structure
+    they must have (Dowling 1973).
 
-    Above e the interval looks like Q_b(Z_m) on the b blocks of e;
-    below e it is a product of Q_{n0}(Z_m) on the n0 absorbed elements
-    with a partition lattice for each block, so its profile is the
-    convolution of theirs.
+    Above e the interval is Q_b(Z_m) on the b blocks of e.  Below e it
+    is Q_{n0}(Z_m) on the n0 absorbed elements times a partition
+    lattice Pi_|B| = Q_{|B|-1}(Z_1) for each block B, so both of its
+    Whitney rows are convolutions of the factors' rows read by rank.
+    The actual profiles are read from the parent's order masks: with
+    R_i the positions of rank i, W_i([e, top]) counts up(e) & R_{r+i}
+    and W_i([bottom, e]) counts down(e) & R_i.
     """
     _check_caps(n, m, n_cap, m_cap)
     keys, _index, lat = _qn_data(n, m)
-    p = PartialGPartition(n, m, *keys[element])
-    b = p.num_blocks
+    blocks = keys[element][0]
+    b = len(blocks)
+    n0 = n - sum(map(len, blocks))
 
-    upper_expected = tuple(_second_rows(m, 1, b)[b][b - i]
-                           for i in range(b + 1))
-    ivl_up, _ = lat.interval(element, lat.top)
-    upper_actual = ivl_up.whitney_second()
+    upper_expected = _second_rows(m, 1, b)[b][::-1]
+    lower = _second_rows(m, 1, n0)[n0][::-1]
+    first = _first_rows(m, n0)[n0][::-1]
+    big = max(map(len, blocks), default=1) - 1
+    part_second, part_first = _second_rows(1, 1, big), _first_rows(1, big)
+    for blk in blocks:
+        lower = _convolve(lower, part_second[len(blk) - 1][::-1])
+        first = _convolve(first, part_first[len(blk) - 1][::-1])
 
-    n0 = len(p.uncovered)
-    profile = [_second_rows(m, 1, n0)[n0][n0 - i] for i in range(n0 + 1)]
-    stirling = _second_rows(1, 0, max((len(blk) for blk in p.blocks),
-                                      default=0))
-    for blk in p.blocks:
-        sz = len(blk)
-        profile = _convolve(profile,
-                            [stirling[sz][sz - i] for i in range(sz)])
-    lower_expected = tuple(profile)
-    ivl_lo, _ = lat.interval(lat.bottom, element)
-    lower_actual = ivl_lo.whitney_second()
+    # positions are sorted by rank, so each R_i is one run of bits
+    rank_masks, start = [], 0
+    for count in lat.whitney_second():
+        rank_masks.append(((1 << count) - 1) << start)
+        start += count
+    pos = lat._pos_of[element]
+    up, down, r = lat._up[pos], lat._down[pos], lat.rank[element]
+    upper_actual = tuple((up & mask).bit_count() for mask in rank_masks[r:])
+    lower_actual = tuple((down & mask).bit_count()
+                         for mask in rank_masks[:r + 1])
+    first_actual = lat._whitney_below(element)
+    lower_expected, first_expected = tuple(lower), tuple(first)
 
     ok = (upper_expected == upper_actual
-          and lower_expected == lower_actual)
+          and lower_expected == lower_actual
+          and first_expected == first_actual)
     return IntervalProfileReport(
         ok=ok, element=element,
         upper_expected=upper_expected, upper_actual=upper_actual,
-        lower_expected=lower_expected, lower_actual=lower_actual)
+        lower_expected=lower_expected, lower_actual=lower_actual,
+        first_expected=first_expected, first_actual=first_actual)
 
 
 # -- CSV ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ class NotGraded(LatticeError):
 
 
 class NotComparable(LatticeError):
-    """Interval endpoints are not ordered."""
+    """An element is not below the sieve target (raised by count_above)."""
 
 
 class NotGeometric(GeomsieveError, ValueError):

@@ -55,7 +55,6 @@ from .errors import (
     MultipleMaxima,
     MultipleMinima,
     NotALattice,
-    NotComparable,
     NotGraded,
 )
 
@@ -256,27 +255,6 @@ class FiniteLattice:
             raise ValueError("cutoff must be >= 0")
         w = self.whitney_first()
         return sum(w[: k + 1])
-
-    # -- subintervals ----------------------------------------------------
-
-    def interval(self, x, y):
-        """The interval [x, y] as a lattice of its own.
-
-        Elements are re-indexed in increasing rank order; index_map maps
-        new indices back to elements of this lattice.  Returns
-        (sublattice, index_map).
-        """
-        if not self.leq(x, y):
-            raise NotComparable(f"{x} is not below {y}")
-        mask = self._up[self._pos_of[x]] & self._down[self._pos_of[y]]
-        members = [self._idx_of[p] for p in _bits(mask)]
-        renum = {idx: i for i, idx in enumerate(members)}
-        sub_covers = [(renum[a], renum[b]) for a, b in self.covers
-                      if a in renum and b in renum]
-        labels = None
-        if self.labels is not None:
-            labels = [self.labels[idx] for idx in members]
-        return build_lattice(len(members), sub_covers, labels), members
 
 
 def _bits(mask):

@@ -6,6 +6,9 @@ Mobius inversion instead of per-base recursion, quadratic bound scans
 instead of bitmask tricks), so agreement is meaningful.
 """
 
+from geomsieve.poset import build_lattice
+
+
 def leq_matrix(n, covers):
     """Reflexive-transitive closure as a set of (x, y) pairs, by
     repeated relational squaring (no topological assumptions)."""
@@ -206,3 +209,55 @@ def naive_sifted_count(lat, A, tau):
            if lat.leq(x, y)}
     return sum(1 for a in A
                if naive_meet(lat.n_elems, rel, a, tau) == lat.bottom)
+
+
+def interval(lat, x, y):
+    """[x, y] rebuilt as a lattice of its own from lat's leq, covers and
+    rank alone: (sublattice, members), the members numbered in (rank,
+    index) order and members[i] the element of lat at new index i."""
+    members = sorted((v for v in range(lat.n_elems)
+                      if lat.leq(x, v) and lat.leq(v, y)),
+                     key=lambda v: (lat.rank[v], v))
+    renum = {v: i for i, v in enumerate(members)}
+    covers = [(renum[a], renum[b]) for a, b in lat.covers
+              if a in renum and b in renum]
+    labels = None if lat.labels is None else [lat.labels[v]
+                                              for v in members]
+    return build_lattice(len(members), covers, labels), members
+
+
+def is_canonical_dowling_key(key, n, m):
+    """A Dowling key (blocks, exps) of Q_n(Z_m) in canonical form: the
+    blocks are nonempty, sorted, disjoint subsets of 0..n-1 ordered by
+    least element, with exponents in 0..m-1 and the least element of
+    each block at exponent 0."""
+    blocks, exps = key
+    if len(blocks) != len(exps):
+        return False
+    seen = []
+    for b, e in zip(blocks, exps):
+        if not b or len(b) != len(e) or list(b) != sorted(set(b)):
+            return False
+        if e[0] != 0 or not all(0 <= ex < m for ex in e):
+            return False
+        seen.extend(b)
+    mins = [b[0] for b in blocks]
+    return (mins == sorted(mins) and len(set(seen)) == len(seen)
+            and all(0 <= x < n for x in seen))
+
+
+def dowling_key_leq(p, q, m):
+    """p <= q for Dowling keys (blocks, exps) of Q_n(Z_m), from the
+    definition: every block of q is a union of blocks of p, each carried
+    over with its labels shifted by one element of Z_m."""
+    where = {x: i for i, b in enumerate(p[0]) for x in b}
+    for b, ex in zip(*q):
+        shifts = {}
+        for x, beta in zip(b, ex):
+            i = where.get(x)
+            if i is None or not set(p[0][i]) <= set(b):
+                return False
+            shift = (beta - p[1][i][p[0][i].index(x)]) % m
+            if shifts.setdefault(i, shift) != shift:
+                return False
+    return True

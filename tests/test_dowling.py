@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from geomsieve import dowling, generators
 from geomsieve.dowling import (
-    PartialGPartition,
     build_Qn,
     canonical_tau_index,
     conv_equals_rwhitney_check,
@@ -18,7 +17,6 @@ from geomsieve.dowling import (
     dowling_sieve_closed_form,
     dowling_sieve_instance,
     interval_profile_check,
-    partial_partition_leq,
     r_dowling_number,
     r_whitney_definition_check,
     shifted_convolution,
@@ -70,64 +68,45 @@ def test_size_caps():
 
 
 def test_partial_partition_validation():
-    PartialGPartition(3, 2, ((0, 2),), ((0, 1),))
-    with pytest.raises(ValueError, match="exponent 0"):
-        PartialGPartition(3, 2, ((0, 2),), ((1, 1),))
-    with pytest.raises(ValueError, match="sorted"):
-        PartialGPartition(3, 2, ((2, 0),), ((0, 1),))
-    with pytest.raises(ValueError, match="two blocks"):
-        PartialGPartition(3, 2, ((0, 1), (1, 2)), ((0, 0), (0, 0)))
-    with pytest.raises(ValueError, match="least element"):
-        PartialGPartition(3, 2, ((1, 2), (0,)), ((0, 0), (0,)))
-    with pytest.raises(ValueError, match="out of range"):
-        PartialGPartition(3, 2, ((0, 5),), ((0, 1),))
-    with pytest.raises(ValueError, match="out of range"):
-        PartialGPartition(3, 2, ((0, 1),), ((0, 2),))
+    # Every enumerated key is canonical and distinct, and the oracle
+    # refuses each way a key can break the canonical form.
+    for n, m in [(1, 1), (3, 2), (2, 3), (4, 2), (3, 3), (5, 2), (4, 4)]:
+        keys = dowling._qn_data(n, m)[0]
+        assert all(oracles.is_canonical_dowling_key(k, n, m) for k in keys)
+        assert len(set(keys)) == len(keys) == r_dowling_number(m, 1, n)
+    assert oracles.is_canonical_dowling_key((((0, 2),), ((0, 1),)), 3, 2)
+    for bad in [(((0, 2),), ((1, 1),)),                # least exponent 1
+                (((2, 0),), ((0, 1),)),                # unsorted block
+                (((0, 1), (1, 2)), ((0, 0), (0, 0))),  # 1 in two blocks
+                (((1, 2), (0,)), ((0, 0), (0,))),      # blocks unordered
+                (((0, 5),), ((0, 1),)),                # element 5 > n - 1
+                (((0, 1),), ((0, 2),)),                # exponent 2 >= m
+                (((),), ((),))]:                       # empty block
+        assert not oracles.is_canonical_dowling_key(bad, 3, 2), bad
 
 
 def test_partial_partition_rank_and_label():
-    bottom = PartialGPartition(3, 2, ((0,), (1,), (2,)), ((0,), (0,), (0,)))
-    assert bottom.rank == 0
-    top = PartialGPartition(3, 2, (), ())
-    assert top.rank == 3
-    assert top.label() == "~"
-    mixed = PartialGPartition(3, 2, ((0, 2),), ((0, 1),))
-    assert mixed.rank == 2
-    assert "0^0" in mixed.label() and "2^1" in mixed.label()
-    assert mixed.uncovered == frozenset({1})
+    keys, index, lat = dowling._qn_data(3, 2)
+    bottom = index[((0,), (1,), (2,)), ((0,), (0,), (0,))]
+    assert bottom == lat.bottom and lat.rank[bottom] == 0
+    top = index[(), ()]
+    assert top == lat.top and lat.rank[top] == 3
+    assert lat.labels[top] == "~"
+    mixed = index[((0, 2),), ((0, 1),)]
+    assert lat.rank[mixed] == 2
+    assert lat.labels[mixed] == "0^0,2^1"
+    assert lat.labels[bottom] == "0^0|1^0|2^0"
+    assert all(lat.rank[i] == 3 - len(blocks)
+               for i, (blocks, _exps) in enumerate(keys))
 
 
 def test_order_test_matches_lattice():
     for n, m in [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)]:
-        lat = build_Qn(n, m)
-        elems = dowling.dowling_elements(n, m)
-        assert len(set(elems)) == len(elems) == r_dowling_number(m, 1, n)
+        keys, _index, lat = dowling._qn_data(n, m)
         for i in range(len(lat)):
             for j in range(len(lat)):
                 assert lat.leq(i, j) == \
-                    partial_partition_leq(elems[i], elems[j]), (n, m, i, j)
-
-
-def test_build_makes_no_partial_partition(monkeypatch):
-    # The build runs on (blocks, exps) keys; objects are made only for
-    # callers of dowling_elements.
-    calls = []
-    monkeypatch.setattr(PartialGPartition, "__post_init__",
-                        lambda self: calls.append(self))
-    dowling._qn_data.cache_clear()
-    lat = build_Qn(4, 3)
-    assert calls == []
-    assert len(dowling.dowling_elements(4, 3)) == len(calls) == len(lat)
-
-
-def test_covers_above_matches_lattice():
-    lat = build_Qn(3, 2)
-    elems = dowling.dowling_elements(3, 2)
-    index = {e: i for i, e in enumerate(elems)}
-    cover_set = set(lat.covers)
-    for i, e in enumerate(elems):
-        ups = {index[c] for c in e.covers_above()}
-        assert ups == {y for x, y in cover_set if x == i}
+                    oracles.dowling_key_leq(keys[i], keys[j], m), (n, m, i, j)
 
 
 def test_first_kind_triangle():
@@ -311,28 +290,46 @@ def test_dowling_instance_has_exact_density():
 
 def test_canonical_tau():
     n, m = 4, 2
-    lat = build_Qn(n, m)
-    elems = dowling.dowling_elements(n, m)
+    keys, _index, lat = dowling._qn_data(n, m)
     for k in range(n + 1):
         tau = canonical_tau_index(n, m, k)
         assert lat.rank[tau] == k
-        e = elems[tau]
-        assert e.uncovered == frozenset(range(k))
-        assert e.blocks == tuple((i,) for i in range(k, n))
+        assert keys[tau] == (tuple((i,) for i in range(k, n)),
+                             ((0,),) * (n - k))
         # the interval below tau looks like Q_k
-        sub, _ = lat.interval(lat.bottom, tau)
-        assert sub.whitney_second() == \
+        report = interval_profile_check(n, m, tau)
+        assert report.ok
+        assert report.lower_actual == \
             tuple(whitney_second_table(m, 1, k).row(k)[::-1])
+        assert report.first_actual == \
+            tuple(whitney_first_table(m, k).row(k)[::-1])
 
 
 def test_interval_profiles():
-    for n, m in [(2, 2), (3, 2), (2, 3)]:
+    # Every element of each lattice, both kinds; Q_5(Z_2), Q_4(Z_3) and
+    # Q_4(Z_4) have blocks of every size up to 5, 4 and 4.
+    for n, m in [(2, 2), (3, 2), (2, 3), (5, 2), (4, 3), (4, 4)]:
         lat = build_Qn(n, m)
         for e in range(len(lat)):
             report = interval_profile_check(n, m, e)
             assert report.ok, (n, m, e, report)
             assert report.upper_expected == report.upper_actual
             assert report.lower_expected == report.lower_actual
+            assert report.first_expected == report.first_actual
+
+
+def test_interval_profiles_match_rebuilt_intervals():
+    # The mask reads equal the profiles of both intervals rebuilt as
+    # lattices of their own.
+    n, m = 3, 3
+    lat = build_Qn(n, m)
+    for e in range(len(lat)):
+        report = interval_profile_check(n, m, e)
+        above, _ = oracles.interval(lat, e, lat.top)
+        below, _ = oracles.interval(lat, lat.bottom, e)
+        assert report.upper_actual == above.whitney_second()
+        assert report.lower_actual == below.whitney_second()
+        assert report.first_actual == below.whitney_first()
 
 
 def test_interval_profile_above_bottom_is_whole_lattice():
@@ -340,6 +337,7 @@ def test_interval_profile_above_bottom_is_whole_lattice():
     report = interval_profile_check(3, 2, lat.bottom)
     assert report.upper_actual == lat.whitney_second()
     assert report.lower_actual == (1,)
+    assert report.first_actual == (1,)
 
 
 def test_triangle_csv_round_trip(tmp_path):
