@@ -10,8 +10,7 @@ sequence with vanishing alternating sum (which the absolute Whitney
 numbers of such a lattice are).
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from itertools import accumulate
 
 from .errors import (
@@ -34,7 +33,10 @@ def _check_entries(seq):
     if len(seq) == 0:
         raise ValueError("empty sequence")
     for i, v in enumerate(seq):
-        if not isinstance(v, (int, Fraction)):
+        if isinstance(v, int):
+            continue
+        from fractions import Fraction
+        if not isinstance(v, Fraction):
             raise TypeError(
                 f"entry {i} is {type(v).__name__}; use int or Fraction")
 
@@ -117,12 +119,10 @@ def alternating_partial_sums_check(seq):
     return tuple(partial)
 
 
-@dataclass(frozen=True)
-class BrunReport:
+class BrunReport(namedtuple("BrunReport", "whitney_first partial_sums")):
     """Verified truncation data for one geometric lattice."""
 
-    whitney_first: tuple
-    partial_sums: tuple
+    __slots__ = ()
 
 
 def verify_brun(lat):

@@ -15,6 +15,11 @@ SOURCE is either a path to a lattice JSON file or a generator name such
 as boolean:4, partition:5, dowling:3:2, uniform:2:6, graphic:k4.
 Exit codes: 0 all checks passed, 1 a check failed, 2 bad usage or
 unparseable input.
+
+A run is one short process, so each subcommand imports the modules it
+runs inside its cmd_* function.  At the top this module imports only
+what the parser and lattice-check need: generators and poset, brun,
+and the verify-all scope table.
 """
 
 import argparse
@@ -22,18 +27,11 @@ import json
 import os
 import sys
 
-from . import dowling, generators, verify
+from . import generators
 from .brun import verify_brun
-from .dowling import _exact_digits
 from .errors import GeomsieveError, NotGeometric
-from .poset import lattice_to_json
-from .sieve import (
-    brun_bounds,
-    sieve_error_bound,
-    sieve_instance_from_json,
-    sieve_main_term,
-    sifted_count_exact,
-)
+from .poset import _exact_digits, lattice_to_json
+from .scopes import SCOPES
 
 __all__ = ["main"]
 
@@ -103,6 +101,14 @@ def cmd_lattice_check(args):
 
 
 def cmd_sieve_run(args):
+    from .sieve import (
+        brun_bounds,
+        sieve_error_bound,
+        sieve_instance_from_json,
+        sieve_main_term,
+        sifted_count_exact,
+    )
+
     with open(args.path, encoding="utf-8") as fh:
         data = json.load(fh, parse_int=_exact_json_int)
     inst = sieve_instance_from_json(data, cap_elements=args.cap_elements)
@@ -132,6 +138,8 @@ def cmd_sieve_run(args):
 
 
 def cmd_verify_all(args):
+    from . import verify
+
     results = verify.run_checks(scope=args.scope, fast=args.fast)
     if args.format == "json":
         _emit({
@@ -152,6 +160,8 @@ def cmd_verify_all(args):
 
 
 def cmd_dowling_table(args):
+    from . import dowling
+
     if args.kind == "first":
         if args.r not in (None, 1):
             raise ValueError("the first-kind triangle has no shift; drop --r")
@@ -180,6 +190,8 @@ def cmd_dowling_build(args):
 
 
 def cmd_dowling_conv(args):
+    from . import dowling
+
     value = dowling.shifted_convolution(args.m, args.n, args.t, args.s)
     via_series = dowling.conv_series(args.m, args.n, args.t, args.s)[args.s]
     if args.t >= args.n:
@@ -200,6 +212,8 @@ def cmd_dowling_conv(args):
 
 
 def cmd_dowling_numbers(args):
+    from . import dowling
+
     r = 1 if args.r is None else args.r
     values = [dowling.r_dowling_number(args.m, r, n)
               for n in range(args.nmax + 1)]
@@ -270,7 +284,7 @@ def _build_parser():
     p.set_defaults(func=cmd_sieve_run)
 
     p = sub.add_parser("verify-all", help="run the end-to-end checks")
-    p.add_argument("--scope", choices=sorted(verify.SCOPES), default="all")
+    p.add_argument("--scope", choices=sorted(SCOPES), default="all")
     p.add_argument("--fast", action="store_true",
                    help="smaller instances, skips the largest cases")
     add_fmt(p, default="text")

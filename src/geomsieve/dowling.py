@@ -19,19 +19,15 @@ two-term recurrences over exact integers, and the test suite plays the
 two sides against each other.
 """
 
-import contextlib
-import csv
 import io
-import sys
 import threading
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from itertools import repeat
 from math import comb
 
 from .errors import TooLarge
-from .poset import build_lattice
+from .poset import _exact_digits, build_lattice
 
 __all__ = [
     "build_Qn",
@@ -156,6 +152,8 @@ def dowling_sieve_instance(n, m, k, *, n_cap=5, m_cap=4):
     f(s) = D_m(s) / D_m(n) and X = D_m(n), which makes the density
     model exact: #A_y = X f(corank y) with zero residual.
     """
+    from fractions import Fraction
+
     from .sieve import SieveInstance
 
     _check_caps(n, m, n_cap, m_cap)
@@ -216,16 +214,11 @@ def _next_second_row(m, r, prev):
     return _next_row(prev, (k * m + r for k in range(len(prev) + 1)))
 
 
-@dataclass(frozen=True)
-class WhitneyTriangle:
+class WhitneyTriangle(namedtuple("WhitneyTriangle", "kind m r n_max rows")):
     """Rows 0..n_max of one Whitney triangle; value(n, k) is 0 for
-    k outside 0..n."""
+    k outside 0..n.  kind is "first" or "second"."""
 
-    kind: str  # "first" or "second"
-    m: int
-    r: int
-    n_max: int
-    rows: tuple
+    __slots__ = ()
 
     def row(self, n):
         return self.rows[n]
@@ -358,16 +351,9 @@ def dowling_sieve_closed_form(m, n, k):
 
 # -- interval structure -------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntervalProfileReport:
-    ok: bool
-    element: int
-    upper_expected: tuple
-    upper_actual: tuple
-    lower_expected: tuple
-    lower_actual: tuple
-    first_expected: tuple
-    first_actual: tuple
+IntervalProfileReport = namedtuple("IntervalProfileReport", (
+    "ok element upper_expected upper_actual lower_expected lower_actual "
+    "first_expected first_actual"))
 
 
 def _convolve(a, b):
@@ -431,25 +417,11 @@ def interval_profile_check(n, m, element, *, n_cap=5, m_cap=4):
 
 # -- CSV ----------------------------------------------------------------------
 
-@contextlib.contextmanager
-def _exact_digits():
-    """Lift the interpreter's int-to-str digit limit while exact values
-    are written or read back, and restore the old setting afterwards
-    (no-op on Pythons without the limit)."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
 def triangle_to_csv(tri):
     """Two header lines (metadata, then column names) and one row per
     (n, k) entry, every value in full."""
+    import csv
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["kind", "m", "r"])
@@ -465,6 +437,8 @@ def triangle_to_csv(tri):
 def triangle_from_csv(text):
     """Read back triangle_to_csv's output; only the value column is
     parsed past the int-to-str digit limit."""
+    import csv
+
     rows = list(csv.reader(io.StringIO(text)))
     if len(rows) < 3 or rows[0] != ["kind", "m", "r"] \
             or rows[2] != ["n", "k", "value"]:

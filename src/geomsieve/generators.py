@@ -200,17 +200,17 @@ def parse_named(name, cap_elements=DEFAULT_CAP):
         _refuse_over(name, _dowling_numbers(m, n), cap_elements)
         return dowling.build_Qn(n, m, n_cap=n, m_cap=m)
     if kind == "uniform" and len(parts) == 3:
-        from . import matroid
         k, n = int(parts[1]), int(parts[2])
         # the flats of rank < k and the ground set, one rank at a time
         _refuse_over(name, accumulate((comb(n, i) for i in range(k)),
                                       initial=1), cap_elements)
+        from . import matroid
         return matroid.flats_lattice(matroid.Matroid.uniform(k, n))
     if kind == "graphic" and len(parts) == 2:
-        from . import matroid
         if parts[1] not in ("k4", "k5"):
             raise ValueError(f"unknown graph {parts[1]!r}")
         nv = 4 if parts[1] == "k4" else 5
         _refuse_over(name, _bell_numbers(nv), cap_elements)
+        from . import matroid
         return matroid.flats_lattice(matroid.Matroid.complete_graphic(nv))
     raise ValueError(f"unknown generator name {name!r}")

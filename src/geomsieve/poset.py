@@ -3,7 +3,9 @@
 A lattice is built from its cover relation.  Construction validates the
 whole contract up front: acyclicity, unique bottom and top, gradedness
 of the covers against longest-chain rank, and existence of all joins.
-After that every query method may assume a genuine graded lattice.
+Before any of that, a cover list longer than a lattice on n elements
+can have (see _refuse_dense) is refused.  After that every query method
+may assume a genuine graded lattice.
 
 Internally elements are re-sorted by rank into "positions" and the
 order relation is stored as two bitmask rows per element (down-set and
@@ -46,9 +48,11 @@ on boolean lattices, at most 20 on partition:8 and dowling:6:2), so
 their tables are summed almost entirely by masks.
 """
 
+import contextlib
+import sys
 import threading
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from math import isqrt
 
 from .errors import (
     Cyclic,
@@ -68,19 +72,42 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class MobiusTable:
-    """Mobius values mu(base, y) for every y; zero when y is not above base."""
+    """Mobius values mu(base, y) for every y; zero when y is not above base.
 
-    base: int
-    values: tuple
+    Immutable and compared by value; table[y] is values[y], so iterating
+    a table walks its values.
+    """
+
+    __slots__ = ("base", "values")
+
+    def __init__(self, base, values):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return MobiusTable, (self.base, self.values)
+
+    def __eq__(self, other):
+        if other.__class__ is not MobiusTable:
+            return NotImplemented
+        return (self.base, self.values) == (other.base, other.values)
+
+    def __hash__(self):
+        return hash((self.base, self.values))
+
+    def __repr__(self):
+        return f"MobiusTable(base={self.base!r}, values={self.values!r})"
 
     def __getitem__(self, y):
         return self.values[y]
 
 
-@dataclass(frozen=True)
-class GeometricCheck:
+class GeometricCheck(namedtuple("GeometricCheck", "ok failure witness",
+                                defaults=(None, None))):
     """Outcome of the geometric-lattice test.
 
     failure is None, "NotAtomistic" (witness: one element index that is
@@ -88,9 +115,7 @@ class GeometricCheck:
     pair).
     """
 
-    ok: bool
-    failure: str = None
-    witness: tuple = None
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -321,11 +346,25 @@ def _cover_scan(n, covers, up, rank):
     return None, semi_fail
 
 
+def _refuse_dense(n, c):
+    """Raise NotALattice if c covers on n elements exceed the Reiman
+    bound n(1 + sqrt(4n - 3))/2.  In a lattice two elements have at
+    most one common upper cover (both covers would be their join), so
+    sum_y C(#lower covers of y, 2) <= C(n, 2), and convexity gives the
+    bound; its floor is taken with an exact integer square root."""
+    most = (n + isqrt(n * n * (4 * n - 3))) // 2
+    if c > most:
+        raise NotALattice(
+            f"{c} covers on {n} elements, over the {most} a lattice can have")
+
+
 def build_lattice(n_elems, covers, labels=None):
     """Validate a cover relation and build the lattice it generates.
 
     Raises Cyclic, MultipleMinima/MultipleMaxima (both a kind of
-    NotALattice), NotGraded, or NotALattice when validation fails.
+    NotALattice), NotGraded, or NotALattice when validation fails.  A
+    cover list longer than any lattice on n_elems elements can have is
+    refused with NotALattice before the order is sorted or closed.
     """
     if n_elems < 1:
         raise ValueError("a lattice needs at least one element")
@@ -341,6 +380,7 @@ def build_lattice(n_elems, covers, labels=None):
         if (x, y) in seen:
             raise ValueError(f"duplicate cover {pair}")
         seen.add((x, y))
+    _refuse_dense(n_elems, len(seen))
     covers = tuple(sorted(seen))
 
     children = [[] for _ in range(n_elems)]
@@ -436,11 +476,15 @@ def _json_size(data):
 def lattice_from_json(data):
     """Build from the plain-dict form; "n" and every cover entry must
     be integers, "covers" a list of pairs and "labels", when present, a
-    list with one entry per element, or ValueError names the field."""
+    list with one entry per element, or ValueError names the field.  A
+    "covers" list longer than a lattice on n elements can have is
+    refused with NotALattice before its entries are read."""
     n = _json_size(data)
     covers = data["covers"]
     if not isinstance(covers, list):
         raise ValueError('lattice JSON "covers" must be a list of pairs')
+    if n >= 1:  # refused by count before each pair is checked
+        _refuse_dense(n, len(covers))
     for i, pair in enumerate(covers):
         if not (isinstance(pair, list) and len(pair) == 2
                 and all(map(_is_index, pair))):
@@ -452,3 +496,19 @@ def lattice_from_json(data):
         raise ValueError(
             'lattice JSON "labels" must be a list with one entry per element')
     return build_lattice(n, [tuple(pair) for pair in covers], labels)
+
+
+@contextlib.contextmanager
+def _exact_digits():
+    """Lift the interpreter's int-to-str digit limit while exact values
+    are written or read back, and restore the old setting afterwards
+    (no-op on Pythons without the limit)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)

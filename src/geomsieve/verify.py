@@ -21,6 +21,7 @@ from .brun import (
     verify_brun,
 )
 from .errors import GeomsieveError
+from .scopes import SCOPES
 
 __all__ = ["CheckResult", "run_checks", "SCOPES", "CHECKS"]
 
@@ -319,17 +320,6 @@ CHECKS = {
     "brun-bounds-sandwich": check_brun_bounds,
     "saddle-asymptotics": check_saddle,
     "classical-oracles": check_classical_oracles,
-}
-
-SCOPES = {
-    "lattice": ["brun-zoo"],
-    "sequences": ["alternating-sums"],
-    "matroid": ["matroid-lattice-consistency", "log-concavity-unimodality"],
-    "dowling": ["whitney-orthogonality", "shifted-convolution-grid",
-                "classical-oracles"],
-    "sieve": ["sieve-closed-form", "brun-bounds-sandwich"],
-    "asym": ["saddle-asymptotics"],
-    "all": sorted(CHECKS),
 }
 
 

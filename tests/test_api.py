@@ -6,6 +6,7 @@ loaded only when an asymptotic is computed."""
 import importlib
 import json
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import sys
 import pytest
 
 import geomsieve
+from geomsieve import brun, dowling, generators, poset, scopes, verify
 
 SUBMODULES = sorted(info.name for info in
                     pkgutil.iter_modules(geomsieve.__path__))
@@ -40,7 +42,26 @@ def _loaded_after(statement):
     return set(json.loads(proc.stdout))
 
 
-def test_submodule_imports_load_only_what_they_need():
+# What the short CLI runs must not load: the record types use no
+# dataclasses (and so no inspect), brun takes fractions only for a
+# Fraction entry, and the CSV code of dowling loads csv when it runs.
+HEAVY = {"dataclasses", "inspect", "fractions", "csv"}
+NOT_RUN = {"geomsieve.verify", "geomsieve.sieve", "geomsieve.asym",
+           "geomsieve.matroid", "geomsieve.dowling"}
+
+
+def _cli_loaded(argv, code):
+    """Modules loaded by a fresh-process cli.main(argv), which must
+    return code."""
+    return _loaded_after(
+        "import contextlib, io\n"
+        "from geomsieve import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "        contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == {code}")
+
+
+def test_submodule_imports_load_only_what_they_need(tmp_path):
     loaded = _loaded_after("import geomsieve")
     assert sorted(m for m in loaded if m.startswith("geomsieve.")) == []
 
@@ -53,9 +74,66 @@ def test_submodule_imports_load_only_what_they_need():
     for statement in ("import geomsieve.cli", "import geomsieve.asym"):
         assert "mpmath" not in _loaded_after(statement)
 
-    loaded = _loaded_after(
-        "import contextlib, io\n"
-        "from geomsieve import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['lattice-check', 'boolean:3']) == 0")
-    assert "geomsieve.cli" in loaded and "mpmath" not in loaded
+    loaded = _cli_loaded(["lattice-check", "boolean:3"], 0)
+    assert {"geomsieve.cli", "geomsieve.brun"} <= loaded
+    assert sorted((HEAVY | NOT_RUN | {"mpmath"}) & loaded) == []
+
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(poset.lattice_to_json(
+        generators.parse_named("partition:4"))), encoding="utf-8")
+    for argv, code in ((["lattice-check", str(path)], 0),
+                       (["lattice-check", "boolean:40"], 2),
+                       (["lattice-check", "uniform:20:40"], 2)):
+        loaded = _cli_loaded(argv, code)
+        assert sorted((HEAVY | NOT_RUN) & loaded) == [], argv
+
+    # sizing a dowling: name takes the triangle rows from dowling
+    loaded = _cli_loaded(["lattice-check", "dowling:1500:2"], 2)
+    assert "geomsieve.dowling" in loaded
+    assert sorted({"dataclasses", "inspect", "csv"} & loaded) == []
+
+
+def test_scopes_partition_the_checks():
+    named = [name for scope, names in scopes.SCOPES.items()
+             if scope != "all" for name in names]
+    assert sorted(named) == scopes.SCOPES["all"] == sorted(verify.CHECKS)
+
+
+def test_record_types_are_frozen_values():
+    # What callers rely on in the result records: the dataclass-style
+    # repr, equality and hashing by value, no assignment, pickling.
+    table = poset.MobiusTable(base=0, values=(1, -1, -1, 1))
+    chk = poset.GeometricCheck(False, "NotAtomistic", (2,))
+    report = brun.BrunReport(whitney_first=(1, -2, 1),
+                             partial_sums=(1, -1, 0))
+    tri = dowling.whitney_first_table(2, 1)
+    assert repr(table) == "MobiusTable(base=0, values=(1, -1, -1, 1))"
+    assert repr(chk) == ("GeometricCheck(ok=False, failure='NotAtomistic', "
+                         "witness=(2,))")
+    assert repr(poset.GeometricCheck(True)) == (
+        "GeometricCheck(ok=True, failure=None, witness=None)")
+    assert repr(report) == ("BrunReport(whitney_first=(1, -2, 1), "
+                            "partial_sums=(1, -1, 0))")
+    assert repr(tri) == ("WhitneyTriangle(kind='first', m=2, r=1, n_max=1, "
+                         "rows=((1,), (-1, 1)))")
+    for record, field, other in [
+            (table, "base", poset.MobiusTable(base=1, values=table.values)),
+            (chk, "witness", poset.GeometricCheck(False, "NotAtomistic", (3,))),
+            (report, "partial_sums", brun.BrunReport((1, -2, 1), (1, -1, 1))),
+            (tri, "rows", dowling.whitney_second_table(2, 1, 1))]:
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and hash(copy) == hash(record)
+        assert copy is not record and record != other
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+    assert bool(chk) is False and bool(poset.GeometricCheck(True)) is True
+
+    lat = generators.parse_named("boolean:3")
+    table = lat.mobius_table(lat.bottom)
+    assert [table[y] for y in range(lat.n_elems)] == list(table.values)
+    assert list(table) == list(table.values)  # iteration walks the values
+    with pytest.raises(TypeError):
+        len(table)
+    assert lat.is_geometric() == poset.GeometricCheck(True)

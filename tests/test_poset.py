@@ -54,6 +54,29 @@ def test_cycle_detected():
         build_lattice(3, [(0, 1), (1, 2), (2, 0)])
 
 
+def test_dense_cover_list_refused_by_count():
+    # bottom, k atoms, k coatoms every atom is below, top: 491,400
+    # covers on 1402 elements, over the 53,182 any lattice can have
+    k = 700
+    n = 2 * k + 2
+    covers = ([(0, a) for a in range(1, k + 1)]
+              + [(a, c) for a in range(1, k + 1) for c in range(k + 1, n - 1)]
+              + [(c, n - 1) for c in range(k + 1, n - 1)])
+    with pytest.raises(NotALattice, match=(
+            "^491400 covers on 1402 elements, over the 53182 a lattice")):
+        build_lattice(n, covers)
+    # the count is taken before the cycle check: 4 elements have at
+    # most 9 covers in a lattice
+    pairs = [(x, y) for x in range(4) for y in range(4) if x != y]
+    with pytest.raises(Cyclic):
+        build_lattice(4, pairs[:9])
+    with pytest.raises(NotALattice, match="^10 covers on 4 elements"):
+        build_lattice(4, pairs[:10])
+    # lattice JSON is refused by the length of "covers", unread
+    with pytest.raises(NotALattice, match="^10 covers on 4 elements"):
+        lattice_from_json({"n": 4, "covers": [None] * 10})
+
+
 def test_pentagon_is_not_graded():
     # 0 < a < b < 1 on one side, 0 < c < 1 on the other
     covers = [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]
