@@ -11,6 +11,7 @@ returned as frozensets.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import MatroidError, NotAFlat, NotSimple, TooLarge
@@ -27,9 +28,17 @@ __all__ = [
     "matroid_from_json",
 ]
 
+# Largest n for which a 2^n subset walk is run by default.
+_SUBSET_CAP = 20
+
 
 class Matroid:
-    """A matroid on ground set {0..n-1}."""
+    """A matroid on ground set {0..n-1}.
+
+    The rank function never changes, so the flats and their covers are
+    swept once per instance: flats(), flats_lattice() and the callers
+    of either share the first sweep's result.
+    """
 
     def __init__(self, n, rank_fn, kind, meta=None, indep_masks=None):
         if n < 0:
@@ -189,12 +198,14 @@ class Matroid:
 
         The order matches the element indices of flats_lattice().
         """
-        masks, _ = self._flat_covers()
+        masks, _ = self._flat_covers
         return [_to_set(m) for m in masks]
 
+    @cached_property
     def _flat_covers(self):
         """Flat masks in flats() order, and the cover pairs (i, j) of
-        flat i covered by flat j, from one sweep up from cl(empty).
+        flat i covered by flat j, as two tuples from one sweep up from
+        cl(empty), taken on first use and kept.
 
         For a flat F and an element e outside it, cl(F + e) covers F,
         and the flats covering F partition the elements outside F.  So
@@ -219,7 +230,7 @@ class Matroid:
                             nxt.append(g)
             level = nxt
         index = {m: i for i, m in enumerate(masks)}
-        return masks, [(index[f], index[g]) for f, g in pairs]
+        return tuple(masks), tuple((index[f], index[g]) for f, g in pairs)
 
 
 def flats_lattice(matroid):
@@ -230,7 +241,7 @@ def flats_lattice(matroid):
     """
     if not matroid.is_simple():
         raise NotSimple(f"{matroid!r} has loops or parallel elements")
-    masks, covers = matroid._flat_covers()
+    masks, covers = matroid._flat_covers
     labels = ["{" + ",".join(map(str, _sorted_tuple(m))) + "}"
               for m in masks]
     return build_lattice(len(masks), covers, labels)
@@ -256,7 +267,13 @@ class CharPoly:
                    for i, w in enumerate(self.coefficients))
 
 
-def char_poly(matroid, cap=20):
+def _refuse_subsets(n, cap):
+    """Refuse a walk over the 2^n subsets of an n-set past 2^cap."""
+    if n > cap:
+        raise TooLarge(f"2^{n} subsets exceed the cap 2^{cap}")
+
+
+def char_poly(matroid, cap=_SUBSET_CAP):
     """Characteristic polynomial by direct subset expansion.
 
     Enumerates all 2^n subsets, so the ground set is capped (default
@@ -264,8 +281,7 @@ def char_poly(matroid, cap=20):
     polynomial is identically zero.
     """
     n = matroid.ground_size
-    if n > cap:
-        raise TooLarge(f"2^{n} subsets exceed the cap 2^{cap}")
+    _refuse_subsets(n, cap)
     r = matroid.full_rank
     w = [0] * (r + 1)
     rank_fn = matroid._rank_fn
@@ -276,21 +292,28 @@ def char_poly(matroid, cap=20):
 
 def mobius_via_closure(matroid, flat):
     """mu(closure(empty), F) computed without building the lattice:
-    sum of (-1)^|A| over spanning subsets A of F (those with closure
-    exactly F)."""
+    the sum of (-1)^|A| over the subsets A of F that span F (Rota's
+    closure route).
+
+    A subset A of a flat F has closure exactly F when r(A) = r(F), so
+    each subset costs one rank evaluation and the whole sum 2^|F|.
+    Raises NotAFlat when F is not closed, and TooLarge when |F| is over
+    20, char_poly's default cap, before any subset is visited.
+    """
     mask = _to_mask(flat, matroid.ground_size)
+    _refuse_subsets(_popcount(mask), _SUBSET_CAP)
     if matroid._closure_mask(mask) != mask:
         raise NotAFlat(f"{sorted(_to_set(mask))} is not closed")
-    elems = [e for e in range(matroid.ground_size) if mask >> e & 1]
+    rank_fn = matroid._rank_fn
+    r = rank_fn(mask)
     total = 0
-    for sub in range(1 << len(elems)):
-        a = 0
-        for i, e in enumerate(elems):
-            if sub >> i & 1:
-                a |= 1 << e
-        if matroid._closure_mask(a) == mask:
-            total += -1 if _popcount(a) & 1 else 1
-    return total
+    sub = mask
+    while True:  # every submask of mask, down to 0
+        if rank_fn(sub) == r:
+            total += -1 if _popcount(sub) & 1 else 1
+        if not sub:
+            return total
+        sub = (sub - 1) & mask
 
 
 def simplify(matroid):

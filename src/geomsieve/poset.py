@@ -88,6 +88,9 @@ class MobiusTable:
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
     def __reduce__(self):
         return MobiusTable, (self.base, self.values)
 

@@ -6,6 +6,8 @@ Mobius inversion instead of per-base recursion, quadratic bound scans
 instead of bitmask tricks), so agreement is meaningful.
 """
 
+from itertools import combinations
+
 from geomsieve.poset import build_lattice
 
 
@@ -192,6 +194,16 @@ def naive_closure(mat, subset):
     r = mat.rank_of(subset)
     return frozenset(x for x in range(mat.ground_size)
                      if mat.rank_of(subset | {x}) == r)
+
+
+def naive_mobius_via_closure(mat, flat):
+    """mu(cl(empty), F) by Rota's closure route, from the definition:
+    the sum of (-1)^|A| over every subset A of F whose closure is F."""
+    flat = frozenset(flat)
+    return sum((-1) ** size
+               for size in range(len(flat) + 1)
+               for subset in combinations(sorted(flat), size)
+               if naive_closure(mat, subset) == flat)
 
 
 def naive_flat_covers(mat, flats):

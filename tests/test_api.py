@@ -14,7 +14,15 @@ import sys
 import pytest
 
 import geomsieve
-from geomsieve import brun, dowling, generators, poset, scopes, verify
+from geomsieve import (
+    brun,
+    dowling,
+    generators,
+    matroid,
+    poset,
+    scopes,
+    verify,
+)
 
 SUBMODULES = sorted(info.name for info in
                     pkgutil.iter_modules(geomsieve.__path__))
@@ -107,6 +115,7 @@ def test_record_types_are_frozen_values():
     report = brun.BrunReport(whitney_first=(1, -2, 1),
                              partial_sums=(1, -1, 0))
     tri = dowling.whitney_first_table(2, 1)
+    poly = matroid.CharPoly((1, -3, 2))
     assert repr(table) == "MobiusTable(base=0, values=(1, -1, -1, 1))"
     assert repr(chk) == ("GeometricCheck(ok=False, failure='NotAtomistic', "
                          "witness=(2,))")
@@ -116,16 +125,22 @@ def test_record_types_are_frozen_values():
                             "partial_sums=(1, -1, 0))")
     assert repr(tri) == ("WhitneyTriangle(kind='first', m=2, r=1, n_max=1, "
                          "rows=((1,), (-1, 1)))")
+    assert repr(poly) == "CharPoly(coefficients=(1, -3, 2))"
+    assert poly.degree == 2 and poly(2) == 0
     for record, field, other in [
             (table, "base", poset.MobiusTable(base=1, values=table.values)),
             (chk, "witness", poset.GeometricCheck(False, "NotAtomistic", (3,))),
             (report, "partial_sums", brun.BrunReport((1, -2, 1), (1, -1, 1))),
-            (tri, "rows", dowling.whitney_second_table(2, 1, 1))]:
+            (tri, "rows", dowling.whitney_second_table(2, 1, 1)),
+            (poly, "coefficients", matroid.CharPoly((1, -3, 3)))]:
         copy = pickle.loads(pickle.dumps(record))
         assert copy == record and hash(copy) == hash(record)
         assert copy is not record and record != other
         with pytest.raises(AttributeError):
             setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert copy == record
         with pytest.raises(AttributeError):
             record.extra = None
     assert bool(chk) is False and bool(poset.GeometricCheck(True)) is True

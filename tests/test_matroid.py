@@ -212,6 +212,95 @@ def test_mobius_via_closure_matches_lattice(u24, k4):
             assert mobius_via_closure(mat, flat) == table[i]
 
 
+@pytest.mark.parametrize("name", sorted(FLAT_CASES))
+def test_mobius_via_closure_matches_naive_on_every_flat(name):
+    mat = FLAT_CASES[name]
+    for flat in mat.flats():
+        assert mobius_via_closure(mat, flat) == \
+            oracles.naive_mobius_via_closure(mat, flat)
+
+
+@st.composite
+def small_matroids(draw):
+    """A multigraph on up to 4 vertices, loops and parallel edges
+    allowed, as its graphic matroid, as the explicit matroid of the same
+    independent sets, or simplified."""
+    nv = draw(st.integers(1, 4))
+    edges = draw(st.lists(st.tuples(st.integers(0, nv - 1),
+                                    st.integers(0, nv - 1)), max_size=7))
+    mat = Matroid.graphic(nv, edges)
+    backend = draw(st.sampled_from(["graphic", "explicit", "simplified"]))
+    if backend == "explicit":
+        ground = range(mat.ground_size)
+        mat = Matroid.from_independents(mat.ground_size, [
+            subset for size in range(mat.ground_size + 1)
+            for subset in itertools.combinations(ground, size)
+            if mat.is_independent(subset)])
+    elif backend == "simplified":
+        mat = simplify(mat)[0]
+    return mat
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matroids(), st.data())
+def test_mobius_via_closure_random_matroids(mat, data):
+    for flat in mat.flats():
+        assert mobius_via_closure(mat, flat) == \
+            oracles.naive_mobius_via_closure(mat, flat)
+    subset = data.draw(st.sets(st.integers(0, max(mat.ground_size - 1, 0)),
+                               max_size=mat.ground_size))
+    if oracles.naive_closure(mat, subset) != subset:
+        with pytest.raises(NotAFlat):
+            mobius_via_closure(mat, subset)
+
+
+def test_mobius_via_closure_cap_before_any_subset():
+    calls = []
+
+    def rank(mask):
+        calls.append(mask)
+        return min(mask.bit_count(), 1)
+
+    mat = Matroid(21, rank, "counted")
+    with pytest.raises(TooLarge, match=r"^2\^21 subsets exceed the cap 2\^20$"):
+        mobius_via_closure(mat, range(21))
+    with pytest.raises(TooLarge, match=r"^2\^21 subsets exceed the cap 2\^20$"):
+        char_poly(mat)
+    assert calls == []
+
+
+def test_flats_swept_once_per_matroid(monkeypatch):
+    calls = []
+    closure = Matroid._closure_mask
+
+    def counted(self, mask):
+        calls.append(mask)
+        return closure(self, mask)
+
+    monkeypatch.setattr(Matroid, "_closure_mask", counted)
+    mat = Matroid.complete_graphic(4)
+    lat = flats_lattice(mat)
+    swept = len(calls)
+    assert swept > 0
+    flats = mat.flats()
+    assert len(calls) == swept
+    assert len(flats) == lat.n_elems == 15
+    assert flats_lattice(mat).covers == lat.covers
+    assert len(calls) == swept
+
+
+def test_verify_check_catches_a_wrong_closure_mobius(monkeypatch):
+    right = matroid.mobius_via_closure
+
+    def off_by_one(mat, flat):
+        return right(mat, flat) + (flat == frozenset({0, 1}))
+
+    monkeypatch.setattr(matroid, "mobius_via_closure", off_by_one)
+    ok, detail = verify.check_matroid_lattice_consistency(fast=True)
+    assert ok is False
+    assert "Mobius mismatch" in detail
+
+
 def test_simplify_identity_on_simple(u24):
     simple, mapping = simplify(u24)
     assert simple.ground_size == u24.ground_size
