@@ -30,23 +30,23 @@ __all__ = [
 _EXACT_FACTORIAL_MAX = 10_000
 
 
-def _validate(m, r, n):
+def _validate(m, r, n, digits):
     if not (isinstance(m, int) and isinstance(r, int) and isinstance(n, int)):
         raise TypeError("m, r, n must be ints")
-    if m < 1 or r < 1 or n < 1:
-        raise ValueError("need m >= 1, r >= 1, n >= 1")
+    if m < 1 or r < 1 or n < 1 or digits < 1:
+        raise ValueError("need m >= 1, r >= 1, n >= 1, digits >= 1")
 
 
 def solve_delta(m, r, n, *, digits=50, max_iter=200):
     """Unique positive root of delta (r + e^{m delta}) = n.
 
     Bisection brackets the root, Newton polishes it to relative
-    tolerance 1e-30; exceeding the iteration budget raises
-    NoConvergence.
+    tolerance 1e-30, or 256 ulps where the precision is too low for
+    that; exceeding the iteration budget raises NoConvergence.
     """
     import mpmath as mp
 
-    _validate(m, r, n)
+    _validate(m, r, n, digits)
     with mp.workdps(digits + 15):
         nn = mp.mpf(n)
 
@@ -76,7 +76,7 @@ def solve_delta(m, r, n, *, digits=50, max_iter=200):
             else:
                 hi = mid
         d = (lo + hi) / 2
-        tol = mp.mpf(10) ** (-30)
+        tol = max(mp.mpf(10) ** -30, 256 * mp.eps)
         while True:
             iters += 1
             if iters > max_iter:
@@ -113,7 +113,7 @@ def saddle_values(m, r, n, *, digits=50):
     """
     import mpmath as mp
 
-    _validate(m, r, n)
+    _validate(m, r, n, digits)
     delta = solve_delta(m, r, n, digits=digits)
     with mp.workdps(digits + 15):
         e = mp.exp(m * delta)

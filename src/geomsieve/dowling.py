@@ -234,6 +234,8 @@ class WhitneyTriangle(namedtuple("WhitneyTriangle", "kind m r n_max rows")):
 def whitney_first_table(m, n_max):
     """First-kind triangle w_m; row n holds mu-sums of Q_n(Z_m) by
     number of blocks (k = n - rank)."""
+    if n_max < 0:
+        raise ValueError("need n_max >= 0")
     rows = tuple(_first_rows(m, n_max))
     return WhitneyTriangle(kind="first", m=m, r=1, n_max=n_max, rows=rows)
 
@@ -241,6 +243,8 @@ def whitney_first_table(m, n_max):
 def whitney_second_table(m, r, n_max):
     """Shifted second-kind triangle W_{m,r}; r = 1 counts Q_n(Z_m)
     elements by number of blocks."""
+    if n_max < 0:
+        raise ValueError("need n_max >= 0")
     rows = tuple(_second_rows(m, r, n_max))
     return WhitneyTriangle(kind="second", m=m, r=r, n_max=n_max, rows=rows)
 
@@ -440,26 +444,34 @@ def triangle_from_csv(text):
     import csv
 
     rows = list(csv.reader(io.StringIO(text)))
-    if len(rows) < 3 or rows[0] != ["kind", "m", "r"] \
+    if len(rows) < 3 or rows[0] != ["kind", "m", "r"] or len(rows[1]) != 3 \
             or rows[2] != ["n", "k", "value"]:
-        raise ValueError("not a triangle CSV")
+        raise ValueError("not a triangle CSV: lines 1-3 must be kind,m,r, "
+                         "its three values, and n,k,value")
     kind, m, r = rows[1][0], int(rows[1][1]), int(rows[1][2])
     if kind not in ("first", "second"):
         raise ValueError(f"unknown triangle kind {kind!r}")
-    body = [row for row in rows[3:] if row]
-    with _exact_digits():
-        values = [int(row[2]) for row in body]
-    entries = {}
-    n_max = -1
-    for row, value in zip(body, values):
+    entries = {}  # (n, k) -> value, still as text
+    for line, row in enumerate(rows[3:], 4):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ValueError(
+                f"triangle CSV line {line} needs the fields n, k, value")
         n, k = int(row[0]), int(row[1])
-        entries[(n, k)] = value
-        n_max = max(n_max, n)
-    tri_rows = []
-    for n in range(n_max + 1):
-        try:
-            tri_rows.append(tuple(entries[(n, k)] for k in range(n + 1)))
-        except KeyError as exc:
-            raise ValueError(f"triangle CSV missing entry {exc}") from None
-    return WhitneyTriangle(kind=kind, m=m, r=r, n_max=n_max,
-                           rows=tuple(tri_rows))
+        if not 0 <= k <= n:
+            raise ValueError(f"triangle CSV line {line}: need 0 <= k <= n")
+        if (n, k) in entries:
+            raise ValueError(f"triangle CSV line {line}: entry {(n, k)} "
+                             "given twice")
+        entries[(n, k)] = row[2]
+    if not entries:
+        raise ValueError("triangle CSV has no entries")
+    n_max = max(n for n, _k in entries)
+    try:
+        with _exact_digits():
+            tri_rows = tuple(tuple(int(entries[(n, k)]) for k in range(n + 1))
+                             for n in range(n_max + 1))
+    except KeyError as exc:
+        raise ValueError(f"triangle CSV missing entry {exc}") from None
+    return WhitneyTriangle(kind=kind, m=m, r=r, n_max=n_max, rows=tri_rows)

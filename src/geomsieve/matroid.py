@@ -10,7 +10,6 @@ Subsets are passed as any iterable of ground-element indices and
 returned as frozensets.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -19,7 +18,6 @@ from .poset import build_lattice
 
 __all__ = [
     "Matroid",
-    "CharPoly",
     "flats_lattice",
     "char_poly",
     "mobius_via_closure",
@@ -247,47 +245,27 @@ def flats_lattice(matroid):
     return build_lattice(len(masks), covers, labels)
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Characteristic polynomial sum_i w_i lambda^(r - i).
-
-    coefficients[i] is the Whitney number w_i of the first kind, so the
-    list runs from the top degree down to the constant term.
-    """
-
-    coefficients: tuple
-
-    @property
-    def degree(self):
-        return len(self.coefficients) - 1
-
-    def __call__(self, lam):
-        r = self.degree
-        return sum(w * lam ** (r - i)
-                   for i, w in enumerate(self.coefficients))
+def _refuse_subsets(n):
+    """Refuse a walk over the 2^n subsets of an n-set past 2^_SUBSET_CAP."""
+    if n > _SUBSET_CAP:
+        raise TooLarge(f"2^{n} subsets exceed the cap 2^{_SUBSET_CAP}")
 
 
-def _refuse_subsets(n, cap):
-    """Refuse a walk over the 2^n subsets of an n-set past 2^cap."""
-    if n > cap:
-        raise TooLarge(f"2^{n} subsets exceed the cap 2^{cap}")
+def char_poly(matroid):
+    """Characteristic polynomial by direct subset expansion: the tuple
+    (w_0, ..., w_r) of first-kind Whitney numbers, top degree first.
 
-
-def char_poly(matroid, cap=_SUBSET_CAP):
-    """Characteristic polynomial by direct subset expansion.
-
-    Enumerates all 2^n subsets, so the ground set is capped (default
-    20; raises TooLarge beyond it).  For a matroid with a loop the
-    polynomial is identically zero.
+    Enumerates all 2^n subsets, so the ground set is capped at 20
+    (raises TooLarge beyond it).  A matroid with a loop gives zeros.
     """
     n = matroid.ground_size
-    _refuse_subsets(n, cap)
+    _refuse_subsets(n)
     r = matroid.full_rank
     w = [0] * (r + 1)
     rank_fn = matroid._rank_fn
     for mask in range(1 << n):
         w[rank_fn(mask)] += -1 if _popcount(mask) & 1 else 1
-    return CharPoly(coefficients=tuple(w))
+    return tuple(w)
 
 
 def mobius_via_closure(matroid, flat):
@@ -298,10 +276,10 @@ def mobius_via_closure(matroid, flat):
     A subset A of a flat F has closure exactly F when r(A) = r(F), so
     each subset costs one rank evaluation and the whole sum 2^|F|.
     Raises NotAFlat when F is not closed, and TooLarge when |F| is over
-    20, char_poly's default cap, before any subset is visited.
+    20, char_poly's cap, before any subset is visited.
     """
     mask = _to_mask(flat, matroid.ground_size)
-    _refuse_subsets(_popcount(mask), _SUBSET_CAP)
+    _refuse_subsets(_popcount(mask))
     if matroid._closure_mask(mask) != mask:
         raise NotAFlat(f"{sorted(_to_set(mask))} is not closed")
     rank_fn = matroid._rank_fn

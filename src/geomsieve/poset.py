@@ -64,49 +64,11 @@ from .errors import (
 
 __all__ = [
     "FiniteLattice",
-    "MobiusTable",
     "GeometricCheck",
     "build_lattice",
     "lattice_to_json",
     "lattice_from_json",
 ]
-
-
-class MobiusTable:
-    """Mobius values mu(base, y) for every y; zero when y is not above base.
-
-    Immutable and compared by value; table[y] is values[y], so iterating
-    a table walks its values.
-    """
-
-    __slots__ = ("base", "values")
-
-    def __init__(self, base, values):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return MobiusTable, (self.base, self.values)
-
-    def __eq__(self, other):
-        if other.__class__ is not MobiusTable:
-            return NotImplemented
-        return (self.base, self.values) == (other.base, other.values)
-
-    def __hash__(self):
-        return hash((self.base, self.values))
-
-    def __repr__(self):
-        return f"MobiusTable(base={self.base!r}, values={self.values!r})"
-
-    def __getitem__(self, y):
-        return self.values[y]
 
 
 class GeometricCheck(namedtuple("GeometricCheck", "ok failure witness",
@@ -220,13 +182,12 @@ class FiniteLattice:
     # -- Mobius function --------------------------------------------------
 
     def mobius_table(self, x):
-        """All values mu(x, y) as exact integers, memoized per base."""
+        """Tuple of mu(x, y) indexed by element y, as exact integers;
+        zero where y is not above x.  Memoized per base."""
         with self._lock:
-            table = self._mobius_cache.get(x)
-            if table is None:
-                table = self._compute_mobius(x)
-                self._mobius_cache[x] = table
-            return table
+            if x not in self._mobius_cache:
+                self._mobius_cache[x] = self._compute_mobius(x)
+            return self._mobius_cache[x]
 
     def mobius(self, x, y):
         return self.mobius_table(x)[y]
@@ -247,10 +208,7 @@ class FiniteLattice:
             if s:
                 mu[p] = -s
                 masks[-s] = masks.get(-s, 0) | 1 << p
-        values = [0] * self.n_elems
-        for p in range(self.n_elems):
-            values[self._idx_of[p]] = mu[p]
-        return MobiusTable(base=x, values=tuple(values))
+        return tuple(map(mu.__getitem__, self._pos_of))
 
     # -- Whitney numbers ----------------------------------------------
 

@@ -140,8 +140,8 @@ def check_matroid_lattice_consistency(fast=False):
     for name, mat in zoo_matroids(fast):
         lat = lattices[f"flats:{name}"]
         cp = matroid.char_poly(mat)
-        if cp.coefficients != lat.whitney_first():
-            return False, (f"{name}: char_poly {cp.coefficients} != "
+        if cp != lat.whitney_first():
+            return False, (f"{name}: char_poly {cp} != "
                            f"lattice {lat.whitney_first()}")
         table = lat.mobius_table(lat.bottom)
         for i, flat in enumerate(mat.flats()):

@@ -100,6 +100,12 @@ def test_submodule_imports_load_only_what_they_need(tmp_path):
     assert "geomsieve.dowling" in loaded
     assert sorted({"dataclasses", "inspect", "csv"} & loaded) == []
 
+    # matroid names build their flats with matroid and nothing heavier
+    for name in ("uniform:3:6", "graphic:k4"):
+        loaded = _cli_loaded(["lattice-check", name], 0)
+        assert "geomsieve.matroid" in loaded
+        assert sorted(HEAVY & loaded) == [], name
+
 
 def test_scopes_partition_the_checks():
     named = [name for scope, names in scopes.SCOPES.items()
@@ -110,13 +116,10 @@ def test_scopes_partition_the_checks():
 def test_record_types_are_frozen_values():
     # What callers rely on in the result records: the dataclass-style
     # repr, equality and hashing by value, no assignment, pickling.
-    table = poset.MobiusTable(base=0, values=(1, -1, -1, 1))
     chk = poset.GeometricCheck(False, "NotAtomistic", (2,))
     report = brun.BrunReport(whitney_first=(1, -2, 1),
                              partial_sums=(1, -1, 0))
     tri = dowling.whitney_first_table(2, 1)
-    poly = matroid.CharPoly((1, -3, 2))
-    assert repr(table) == "MobiusTable(base=0, values=(1, -1, -1, 1))"
     assert repr(chk) == ("GeometricCheck(ok=False, failure='NotAtomistic', "
                          "witness=(2,))")
     assert repr(poset.GeometricCheck(True)) == (
@@ -125,14 +128,10 @@ def test_record_types_are_frozen_values():
                             "partial_sums=(1, -1, 0))")
     assert repr(tri) == ("WhitneyTriangle(kind='first', m=2, r=1, n_max=1, "
                          "rows=((1,), (-1, 1)))")
-    assert repr(poly) == "CharPoly(coefficients=(1, -3, 2))"
-    assert poly.degree == 2 and poly(2) == 0
     for record, field, other in [
-            (table, "base", poset.MobiusTable(base=1, values=table.values)),
             (chk, "witness", poset.GeometricCheck(False, "NotAtomistic", (3,))),
             (report, "partial_sums", brun.BrunReport((1, -2, 1), (1, -1, 1))),
-            (tri, "rows", dowling.whitney_second_table(2, 1, 1)),
-            (poly, "coefficients", matroid.CharPoly((1, -3, 3)))]:
+            (tri, "rows", dowling.whitney_second_table(2, 1, 1))]:
         copy = pickle.loads(pickle.dumps(record))
         assert copy == record and hash(copy) == hash(record)
         assert copy is not record and record != other
@@ -145,10 +144,12 @@ def test_record_types_are_frozen_values():
             record.extra = None
     assert bool(chk) is False and bool(poset.GeometricCheck(True)) is True
 
+    # Mobius tables and characteristic polynomials are plain tuples.
     lat = generators.parse_named("boolean:3")
-    table = lat.mobius_table(lat.bottom)
-    assert [table[y] for y in range(lat.n_elems)] == list(table.values)
-    assert list(table) == list(table.values)  # iteration walks the values
-    with pytest.raises(TypeError):
-        len(table)
+    for x in range(lat.n_elems):
+        table = lat.mobius_table(x)
+        assert type(table) is tuple and len(table) == lat.n_elems
+    signs = tuple((-1) ** r for r in lat.rank)
+    assert lat.mobius_table(lat.bottom) == signs
+    assert matroid.char_poly(matroid.Matroid.uniform(2, 3)) == (1, -3, 2)
     assert lat.is_geometric() == poset.GeometricCheck(True)

@@ -88,6 +88,8 @@ def test_validation_rejects_bad_arguments():
             fn(1, 0, 10)
         with pytest.raises(ValueError):
             fn(1, 1, 0)
+        with pytest.raises(ValueError, match="digits >= 1"):
+            fn(1, 1, 10, digits=0)
 
 
 def test_saddle_values_formulas():
@@ -164,3 +166,16 @@ def test_digits_parameter_controls_precision():
     hi = solve_delta(1, 1, 50, digits=60)
     with mp.workdps(80):
         assert abs(lo - hi) < mp.mpf(10) ** -18
+
+
+@pytest.mark.parametrize("digits", range(1, 21))
+def test_solve_delta_converges_at_low_digits(digits):
+    # Below about 30 working places Newton cannot reach a 1e-30 step,
+    # so the tolerance follows the working precision.  The root still
+    # agrees with the 50-digit one to 10 places beyond those asked for.
+    for m, r in ((1, 1), (2, 1), (1, 2), (2, 3)):
+        for n in (1, 7, 50, 400, 10**5):
+            d = solve_delta(m, r, n, digits=digits)
+            ref = solve_delta(m, r, n, digits=50)
+            with mp.workdps(80):
+                assert abs(d - ref) <= ref * mp.mpf(10) ** -(digits + 10)

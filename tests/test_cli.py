@@ -291,6 +291,14 @@ def test_dowling_table_out_file(capsys, tmp_path):
     assert tri.value(2, 0) == dowling.whitney_first_table(3, 2).value(2, 0)
 
 
+@pytest.mark.parametrize("kind", ["first", "second"])
+def test_dowling_table_negative_nmax_exits_two(capsys, kind):
+    code, out, err = run_cli(capsys, "dowling", "table", "--kind", kind,
+                             "--m", "2", "--nmax", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: need n_max >= 0\n"
+
+
 def test_dowling_table_first_kind_rejects_r(capsys):
     code, _out, err = run_cli(capsys, "dowling", "table", "--kind", "first",
                               "--m", "2", "--r", "2", "--nmax", "3")
@@ -426,6 +434,18 @@ def test_asym_dowling_bad_arguments(capsys):
                               "--r", "1", "--n", "10")
     assert code == 2
     assert "error:" in err
+
+
+def test_asym_dowling_low_digits(capsys):
+    # a handful of digits is a valid request; none at all is bad input
+    code, data, _ = run_json(capsys, "asym", "dowling", "--m", "1",
+                             "--r", "1", "--n", "10", "--digits", "4")
+    assert code == 0
+    assert data["delta"] == "1.634"
+    code, out, err = run_cli(capsys, "asym", "dowling", "--m", "1",
+                             "--r", "1", "--n", "10", "--digits", "0")
+    assert code == 2 and out == ""
+    assert err == "error: need m >= 1, r >= 1, n >= 1, digits >= 1\n"
 
 
 def test_usage_errors_exit_two():

@@ -361,6 +361,45 @@ def test_triangle_csv_rejects_garbage():
         triangle_from_csv("\n".join(lines[:-1]) + "\n")
 
 
+HEAD = "kind,m,r\nfirst,1,1\nn,k,value\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("kind,m,r\nfirst\nn,k,value\n0,0,1\n",
+                 "lines 1-3 must be", id="short-header"),
+    pytest.param("kind,m,r\nfirst,1\nn,k,value\n0,0,1\n",
+                 "lines 1-3 must be", id="header-without-r"),
+    pytest.param(HEAD + "0,0\n", "line 4 needs the fields n, k, value",
+                 id="short-row"),
+    pytest.param(HEAD + "0,0,1\n\n1,0\n1,1,1\n", "line 6 needs the fields",
+                 id="short-row-after-blank"),
+    pytest.param(HEAD + "0,0,1,7\n", "line 4 needs the fields",
+                 id="long-row"),
+    pytest.param(HEAD + "0,0,1\n0,1,5\n", "line 5: need 0 <= k <= n",
+                 id="k-over-n"),
+    pytest.param(HEAD + "0,0,1\n1,-1,5\n", "line 5: need 0 <= k <= n",
+                 id="negative-k"),
+    pytest.param(HEAD + "-1,0,5\n0,0,1\n", "line 4: need 0 <= k <= n",
+                 id="negative-n"),
+    pytest.param(HEAD + "0,0,1\n0,0,1\n",
+                 r"line 5: entry \(0, 0\) given twice", id="repeated"),
+    pytest.param(HEAD, "no entries", id="no-entries"),
+    pytest.param(HEAD + "0,0,1\n2,0,2\n", r"missing entry \(1, 0\)",
+                 id="missing-row"),
+])
+def test_triangle_csv_refuses_malformed_input(text, message):
+    with pytest.raises(ValueError, match=message):
+        triangle_from_csv(text)
+
+
+def test_triangle_tables_refuse_negative_n_max():
+    with pytest.raises(ValueError, match="need n_max >= 0"):
+        whitney_first_table(2, -1)
+    with pytest.raises(ValueError, match="need n_max >= 0"):
+        whitney_second_table(2, 1, -1)
+    assert whitney_first_table(2, 0).rows == ((1,),)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 25), st.integers(0, 6))
 def test_second_kind_row_sums_are_r_dowling(m, n, r):

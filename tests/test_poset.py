@@ -331,7 +331,7 @@ def test_mobius_thread_safety():
     results = []
 
     def work():
-        results.append(lat.mobius_table(lat.bottom).values)
+        results.append(lat.mobius_table(lat.bottom))
 
     threads = [threading.Thread(target=work) for _ in range(8)]
     for t in threads:
