@@ -100,9 +100,24 @@ def cmd_lattice_check(args):
     return 0 if chk.ok else 1
 
 
+def _cutoff(text):
+    """--cutoff: a non-negative integer, or "all" for every cutoff."""
+    if text == "all":
+        return text
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"need a non-negative integer or 'all', not {text!r}")
+    return value
+
+
 def cmd_sieve_run(args):
     from .sieve import (
         brun_bounds,
+        brun_profile,
         sieve_error_bound,
         sieve_instance_from_json,
         sieve_main_term,
@@ -114,13 +129,17 @@ def cmd_sieve_run(args):
     inst = sieve_instance_from_json(data, cap_elements=args.cap_elements)
     lat = inst.lattice
     rank_tau = lat.rank[inst.tau]
-    cutoff = args.cutoff if args.cutoff is not None else (rank_tau + 1) // 2
+    every = args.cutoff == "all"
+    cutoff = args.cutoff
+    if cutoff in (None, "all"):
+        cutoff = (rank_tau + 1) // 2
     exact = sifted_count_exact(inst)
     main_term = sieve_main_term(inst)
     bound = sieve_error_bound(inst)
-    lower, upper = brun_bounds(inst, cutoff)
+    profile = brun_profile(inst) if every else (brun_bounds(inst, cutoff),)
+    lower, upper = profile[-1]
     residual = exact - main_term
-    ok = lower <= exact <= upper
+    ok = all(lo <= exact <= up for lo, up in profile)
     out = {
         "n": lat.top_rank,
         "rank_tau": rank_tau,
@@ -133,6 +152,8 @@ def cmd_sieve_run(args):
         "upper": upper,
         "sandwich_ok": ok,
     }
+    if every:
+        out["profile"] = [list(bounds) for bounds in profile]
     _emit(out, args.format)
     return 0 if ok else 1
 
@@ -215,6 +236,8 @@ def cmd_dowling_numbers(args):
     from . import dowling
 
     r = 1 if args.r is None else args.r
+    if args.nmax < 0:
+        raise ValueError("need nmax >= 0")
     values = [dowling.r_dowling_number(args.m, r, n)
               for n in range(args.nmax + 1)]
     if args.format == "csv":
@@ -277,8 +300,9 @@ def _build_parser():
 
     p = sub.add_parser("sieve-run", help="run a sieve instance JSON file")
     p.add_argument("path")
-    p.add_argument("--cutoff", type=int, default=None,
-                   help="truncation parameter for the two-sided bounds")
+    p.add_argument("--cutoff", type=_cutoff, default=None,
+                   help="truncation parameter for the two-sided bounds, "
+                        "or 'all' to add the bounds at every cutoff")
     p.add_argument("--cap-elements", type=int, default=generators.DEFAULT_CAP)
     add_fmt(p)
     p.set_defaults(func=cmd_sieve_run)

@@ -337,11 +337,13 @@ def conv_equals_rwhitney_check(m, n, t, s_max):
 
 def dowling_number(m, n):
     """D_m(n) = #Q_n(Z_m) = sum_k W_m(n, k)."""
-    return sum(_second_rows(m, 1, n)[n])
+    return r_dowling_number(m, 1, n)
 
 
 def r_dowling_number(m, r, n):
     """D_{m,r}(n) = sum_k W_{m,r}(n, k)."""
+    if n < 0:
+        raise ValueError("need n >= 0")
     return sum(_second_rows(m, r, n)[n])
 
 

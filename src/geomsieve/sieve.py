@@ -9,13 +9,19 @@ numbers of [bottom, tau]; the error certificate is the matching sum of
 absolute values, and Brun-style rank truncation gives two-sided bounds
 on the exact count.
 
+The bounds come from one walk of down(tau) that sums mu(bottom, y) #A_y
+by rank y.  At cutoff c the upper bound is the prefix sum up to rank
+2c and the lower bound the one up to rank 2c + 1: brun_bounds walks only
+as far as rank 2c + 1, and brun_profile walks once for every cutoff.
+
 All arithmetic is exact (ints and Fractions).
 """
 
 import re
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import NotComparable, NotGeometric
 from .generators import DEFAULT_CAP, load_lattice
@@ -28,6 +34,7 @@ __all__ = [
     "sieve_main_term",
     "sieve_error_bound",
     "brun_bounds",
+    "brun_profile",
     "sieve_instance_to_json",
     "sieve_instance_from_json",
     "parse_fraction",
@@ -54,42 +61,47 @@ def parse_fraction(value):
     raise ValueError(f"cannot read {value!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class SieveInstance:
-    """Validated sieve data; tau is computed as the join of T."""
+class SieveInstance(namedtuple("SieveInstance", "lattice A T f X tau")):
+    """Validated sieve data; tau is computed as the join of T.
 
-    lattice: object
-    A: tuple
-    T: tuple
-    f: tuple
-    X: Fraction
-    tau: int = field(init=False)
+    _make and _replace go back through the checks, so a new T gets its
+    own tau; _make takes the five fields before tau.
+    """
 
-    def __post_init__(self):
-        lat = self.lattice
-        object.__setattr__(self, "A", tuple(self.A))
-        object.__setattr__(self, "T", tuple(self.T))
-        object.__setattr__(self, "f", tuple(
-            _read_exact(f"f[{s}]", v) for s, v in enumerate(self.f)))
-        object.__setattr__(self, "X", _read_exact("X", self.X))
-        atoms = set(lat.atoms())
-        for t in self.T:
+    __slots__ = ()
+
+    def __new__(cls, lattice, A, T, f, X):
+        A = tuple(A)
+        T = tuple(T)
+        f = tuple(_read_exact(f"f[{s}]", v) for s, v in enumerate(f))
+        X = _read_exact("X", X)
+        atoms = set(lattice.atoms())
+        for t in T:
             if not _is_index(t) or t not in atoms:
                 raise ValueError(f"T entry {t} is not an atom")
-        for a in self.A:
-            if not _is_index(a) or not 0 <= a < lat.n_elems:
+        for a in A:
+            if not _is_index(a) or not 0 <= a < lattice.n_elems:
                 raise ValueError(f"A entry {a} is not an element index")
-        n = lat.top_rank
-        if len(self.f) != n + 1:
+        n = lattice.top_rank
+        if len(f) != n + 1:
             raise ValueError(
-                f"f must have one entry per co-rank 0..{n} "
-                f"(got {len(self.f)})")
-        for s, v in enumerate(self.f):
+                f"f must have one entry per co-rank 0..{n} (got {len(f)})")
+        for s, v in enumerate(f):
             if v < 0:
                 raise ValueError(f"f[{s}] is negative")
-        if self.X <= 0:
+        if X <= 0:
             raise ValueError("X must be positive")
-        object.__setattr__(self, "tau", lat.join_all(self.T))
+        return super().__new__(cls, lattice, A, T, f, X, lattice.join_all(T))
+
+    def __getnewargs__(self):
+        return self[:5]
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+    def _replace(self, **changes):
+        return type(self)(**{**dict(zip(self._fields[:5], self)), **changes})
 
 
 def _read_exact(key, value):
@@ -143,27 +155,46 @@ def sieve_error_bound(inst):
     return sum((n - k) * inst.f[n - k] * abs(w[k]) for k in range(len(w)))
 
 
+def _rank_sums(inst, top):
+    """S_k = sum of mu(bottom, y) * #A_y over the y <= tau of rank k,
+    for k = 0..min(top, rank tau): one walk of down(tau), which ascends
+    by rank, stopped at the first y of rank > top."""
+    lat = inst.lattice
+    mu = lat.mobius_table(lat.bottom)
+    rank = lat.rank
+    sums = [0] * (min(top, rank[inst.tau]) + 1)
+    for y in lat.down_set(inst.tau):
+        r = rank[y]
+        if r > top:
+            break
+        sums[r] += mu[y] * count_above(inst, y)
+    return sums
+
+
 def brun_bounds(inst, cutoff):
-    """Two-sided truncation bounds on the exact sifted count.
+    """Two-sided truncation bounds (lower, upper) on the exact sifted
+    count.
 
     The upper bound truncates the Mobius expansion at rank 2*cutoff,
     the lower at rank 2*cutoff + 1.  Both equal the exact count once
-    the truncation rank reaches rank(tau).
+    the truncation rank reaches rank(tau).  Only the y <= tau of rank
+    <= 2*cutoff + 1 are counted; brun_profile gives every cutoff at
+    the price of the largest.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    lat = inst.lattice
-    mu = lat.mobius_table(lat.bottom)
-    upper = lower = 0
-    for y in lat.down_set(inst.tau):
-        r = lat.rank[y]
-        if r > 2 * cutoff + 1:
-            continue
-        term = mu[y] * count_above(inst, y)
-        if r <= 2 * cutoff:
-            upper += term
-        lower += term
-    return lower, upper
+    sums = _rank_sums(inst, 2 * cutoff + 1)
+    return sum(sums), sum(sums[:2 * cutoff + 1])
+
+
+def brun_profile(inst):
+    """brun_bounds(inst, c) for c = 0..ceil(rank tau / 2), from one
+    walk of down(tau).  The last entry is (exact, exact), and every
+    larger cutoff has the same bounds."""
+    partial = list(accumulate(_rank_sums(inst, inst.lattice.rank[inst.tau])))
+    last = len(partial) - 1
+    return tuple((partial[min(2 * c + 1, last)], partial[min(2 * c, last)])
+                 for c in range((last + 1) // 2 + 1))
 
 
 # -- JSON ------------------------------------------------------------------

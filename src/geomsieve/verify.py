@@ -229,13 +229,15 @@ def check_sieve_closed_form(fast=False):
 
 def check_brun_bounds(fast=False):
     """Truncation bounds sandwich the exact count at every cutoff and
-    collapse to it once the truncation rank reaches rank(tau)."""
+    collapse to it once the truncation rank reaches rank(tau); every
+    cutoff of an instance is read from one bound profile."""
     checked = 0
     for n, m, k, inst in _dowling_instances(fast):
         exact = sieve.sifted_count_exact(inst)
         rank_tau = inst.lattice.rank[inst.tau]
+        profile = sieve.brun_profile(inst)
         for cutoff in range(rank_tau // 2 + 3):
-            lower, upper = sieve.brun_bounds(inst, cutoff)
+            lower, upper = profile[min(cutoff, len(profile) - 1)]
             if not lower <= exact <= upper:
                 return False, (f"n={n}, m={m}, k={k}, cutoff {cutoff}: "
                                f"{lower} !<= {exact} !<= {upper}")

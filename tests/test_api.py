@@ -21,6 +21,7 @@ from geomsieve import (
     matroid,
     poset,
     scopes,
+    sieve,
     verify,
 )
 
@@ -100,6 +101,16 @@ def test_submodule_imports_load_only_what_they_need(tmp_path):
     assert "geomsieve.dowling" in loaded
     assert sorted({"dataclasses", "inspect", "csv"} & loaded) == []
 
+    # sieve-run reads its exact values with fractions, and nothing
+    # heavier: the instance is a namedtuple
+    path = tmp_path / "sieve.json"
+    path.write_text(json.dumps({"lattice": "boolean:3", "A": "all",
+                                "T": [1, 2], "f": [0, 0, 0, 1], "X": 1}),
+                    encoding="utf-8")
+    loaded = _cli_loaded(["sieve-run", str(path), "--cutoff", "all"], 0)
+    assert "geomsieve.sieve" in loaded
+    assert sorted((HEAVY - {"fractions"}) & loaded) == []
+
     # matroid names build their flats with matroid and nothing heavier
     for name in ("uniform:3:6", "graphic:k4"):
         loaded = _cli_loaded(["lattice-check", name], 0)
@@ -143,6 +154,27 @@ def test_record_types_are_frozen_values():
         with pytest.raises(AttributeError):
             record.extra = None
     assert bool(chk) is False and bool(poset.GeometricCheck(True)) is True
+
+    # A sieve instance holds its lattice, which is compared by identity
+    # (and holds a lock, so the instance is not pickled).
+    lat = generators.parse_named("boolean:2")
+    inst = sieve.SieveInstance(lattice=lat, A=[0, 3], T=[1], f=[0, 0, 1],
+                               X=2)
+    same = sieve.SieveInstance(lat, (0, 3), (1,), (0, 0, 1), 2)
+    assert repr(inst) == (
+        "SieveInstance(lattice=<FiniteLattice n=4 rank=2>, A=(0, 3), "
+        "T=(1,), f=(Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)), "
+        "X=Fraction(2, 1), tau=1)")
+    assert inst == same and hash(inst) == hash(same)
+    assert inst != inst._replace(T=[2])
+    for field in inst._fields:
+        with pytest.raises(AttributeError):
+            setattr(inst, field, None)
+        with pytest.raises(AttributeError):
+            delattr(inst, field)
+    with pytest.raises(AttributeError):
+        inst.extra = None
+    assert inst == same
 
     # Mobius tables and characteristic polynomials are plain tuples.
     lat = generators.parse_named("boolean:3")

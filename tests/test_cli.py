@@ -166,6 +166,63 @@ def test_sieve_run_cutoff_variants(capsys, tmp_path):
     assert loose["upper"] >= tight["upper"]
 
 
+def test_sieve_run_cutoff_all(capsys, tmp_path):
+    inst = dowling.dowling_sieve_instance(4, 2, 4)
+    blob = sieve_instance_to_json(inst, lattice_name="dowling:4:2")
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    code, default, _ = run_json(capsys, "sieve-run", str(path))
+    code_all, every, _ = run_json(capsys, "sieve-run", str(path),
+                                  "--cutoff", "all")
+    assert code == code_all == 0
+    # the default keys are unchanged, plus the bounds at c = 0..2
+    profile = every.pop("profile")
+    assert every == default
+    exact = default["sifted_count"]
+    assert default["rank_tau"] == 4 and default["cutoff"] == 2
+    assert len(profile) == 3 and profile[-1] == [exact, exact]
+    for cutoff, bounds in enumerate(profile):
+        _, one, _ = run_json(capsys, "sieve-run", str(path),
+                             "--cutoff", str(cutoff))
+        assert bounds == [one["lower"], one["upper"]]
+    code, out, _ = run_cli(capsys, "sieve-run", str(path), "--cutoff", "all",
+                           "--format", "text")
+    assert code == 0
+    assert f"profile: {profile}" in out.splitlines()
+
+
+def test_sieve_run_cutoff_all_fails_on_any_broken_sandwich(
+        capsys, tmp_path, monkeypatch):
+    from geomsieve import sieve
+
+    inst = dowling.dowling_sieve_instance(3, 2, 3)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(sieve_instance_to_json(
+        inst, lattice_name="dowling:3:2")), encoding="utf-8")
+    honest = sieve.brun_profile
+
+    def broken_first(inst):
+        (lower, upper), *rest = honest(inst)
+        return ((upper + 1, upper), *rest)
+
+    monkeypatch.setattr(sieve, "brun_profile", broken_first)
+    code, data, _ = run_json(capsys, "sieve-run", str(path),
+                             "--cutoff", "all")
+    assert code == 1 and data["sandwich_ok"] is False
+    # the default cutoff's own bounds still sandwich the count
+    assert data["lower"] <= data["sifted_count"] <= data["upper"]
+
+
+@pytest.mark.parametrize("value", ["-1", "x", "ALL", "1.5", ""])
+def test_sieve_run_bad_cutoff_exits_two(capsys, tmp_path, value):
+    path = tmp_path / "never-read.json"
+    with pytest.raises(SystemExit) as info:
+        main(["sieve-run", str(path), "--cutoff", value])
+    assert info.value.code == 2
+    assert ("argument --cutoff: need a non-negative integer or 'all', "
+            f"not {value!r}") in capsys.readouterr().err
+
+
 def test_sieve_run_inline_lattice(capsys, tmp_path):
     inst = dowling.dowling_sieve_instance(2, 2, 2)
     blob = sieve_instance_to_json(inst)
@@ -297,6 +354,15 @@ def test_dowling_table_negative_nmax_exits_two(capsys, kind):
                              "--m", "2", "--nmax", "-1")
     assert code == 2 and out == ""
     assert err == "error: need n_max >= 0\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+@pytest.mark.parametrize("nmax", ["-1", "-7"])
+def test_dowling_numbers_negative_nmax_exits_two(capsys, fmt, nmax):
+    code, out, err = run_cli(capsys, "dowling", "numbers", "--m", "1",
+                             "--nmax", nmax, "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == "error: need nmax >= 0\n"
 
 
 def test_dowling_table_first_kind_rejects_r(capsys):

@@ -392,6 +392,17 @@ def test_triangle_csv_refuses_malformed_input(text, message):
         triangle_from_csv(text)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: r_dowling_number(1, 1, -1),
+    lambda: r_dowling_number(2, 3, -5),
+    lambda: dowling_number(2, -1),
+], ids=["r_dowling_number(1,1,-1)", "r_dowling_number(2,3,-5)",
+        "dowling_number(2,-1)"])
+def test_dowling_numbers_refuse_negative_n(call):
+    with pytest.raises(ValueError, match=r"^need n >= 0$"):
+        call()
+
+
 def test_triangle_tables_refuse_negative_n_max():
     with pytest.raises(ValueError, match="need n_max >= 0"):
         whitney_first_table(2, -1)

@@ -1,5 +1,7 @@
+import copy
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -7,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomsieve import dowling, generators
+from geomsieve import dowling, generators, sieve, verify
 from geomsieve.errors import NotComparable, NotGeometric
 from geomsieve.poset import build_lattice
 from geomsieve.sieve import (
     SieveInstance,
     brun_bounds,
+    brun_profile,
     count_above,
     parse_fraction,
     sieve_error_bound,
@@ -81,6 +84,25 @@ def test_tau_is_join_of_T():
     assert inst.tau == 3
     assert b3_instance(T=[]).tau == 0
     assert b3_instance(T=[1, 2, 4]).tau == 7
+
+
+def test_replace_validates_and_recomputes_tau():
+    inst = b3_instance(T=[1, 2])
+    wider = inst._replace(T=[1, 2, 4])
+    assert wider.tau == 7 and wider.T == (1, 2, 4)
+    assert wider.A == inst.A and wider.lattice is inst.lattice
+    assert inst._replace(A=[0, 0, 5]).A == (0, 0, 5)
+    assert inst._replace(X="3/2").X == Fraction(3, 2)
+    with pytest.raises(ValueError, match="T entry 3 is not an atom"):
+        inst._replace(T=[3])
+    with pytest.raises(ValueError, match="X must be positive"):
+        inst._replace(X=0)
+    with pytest.raises(TypeError):
+        inst._replace(tau=0)  # tau is always the join of T
+    assert SieveInstance._make(wider[:5]) == wider
+    with pytest.raises(ValueError, match="T entry 3 is not an atom"):
+        SieveInstance._make((inst.lattice, inst.A, [3], inst.f, inst.X))
+    assert copy.copy(inst) == inst
 
 
 def test_empty_sieve_counts_everything():
@@ -192,19 +214,27 @@ def naive_order(name):
     return rel, oracles.naive_mobius_matrix(lat.n_elems, rel)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_brun_bounds_sandwich_random_multisets(data):
-    # the sandwich holds for any multiset A: each a contributes a
-    # truncated Mobius sum over the geometric interval [bottom, a meet tau]
+def draw_multiset_instance(data):
+    """A random multiset A and atom set T on a small zoo lattice."""
     name = data.draw(st.sampled_from(SMALL_ZOO), label="lattice")
     lat = generators.parse_named(name)
     n = lat.n_elems
     A = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n), label="A")
     T = data.draw(st.lists(st.sampled_from(lat.atoms()), unique=True),
                   label="T")
-    inst = SieveInstance(lattice=lat, A=A, T=T,
-                         f=[Fraction(0)] * (lat.top_rank + 1), X=Fraction(1))
+    return name, SieveInstance(lattice=lat, A=A, T=T,
+                               f=[Fraction(0)] * (lat.top_rank + 1),
+                               X=Fraction(1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_brun_bounds_sandwich_random_multisets(data):
+    # the sandwich holds for any multiset A: each a contributes a
+    # truncated Mobius sum over the geometric interval [bottom, a meet tau]
+    name, inst = draw_multiset_instance(data)
+    lat, A = inst.lattice, inst.A
+    n = lat.n_elems
     exact = sifted_count_exact(inst)
     rel, mu = naive_order(name)
     r_tau = lat.rank[inst.tau]
@@ -215,6 +245,82 @@ def test_brun_bounds_sandwich_random_multisets(data):
         assert lower <= exact <= upper
         if 2 * cutoff >= r_tau:
             assert lower == upper == exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_brun_profile_matches_every_cutoff(data):
+    name, inst = draw_multiset_instance(data)
+    lat = inst.lattice
+    rel, mu = naive_order(name)
+    r_tau = lat.rank[inst.tau]
+    profile = brun_profile(inst)
+    last = len(profile) - 1
+    assert last == (r_tau + 1) // 2
+    exact = sifted_count_exact(inst)
+    assert profile[last] == (exact, exact)
+    for cutoff in range(r_tau + 2):
+        assert profile[min(cutoff, last)] == brun_bounds(inst, cutoff) == \
+            oracles.naive_brun_bounds(lat.n_elems, rel, mu, inst.A,
+                                      inst.tau, cutoff)
+
+
+def partition5_instance():
+    lat = generators.parse_named("partition:5")
+    return SieveInstance(lattice=lat, A=range(0, lat.n_elems, 2),
+                         T=lat.atoms()[:6], f=[Fraction(0)] * 5, X=1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dowling.dowling_sieve_instance(3, 2, 3),
+    lambda: b3_instance(T=[1, 2, 4], A=[0, 1, 3, 3, 7]),
+    partition5_instance,
+], ids=["dowling:3:2", "boolean:3", "partition:5"])
+def test_bounds_count_each_y_once(make, monkeypatch):
+    # brun_bounds(inst, c) pays for the y <= tau of rank <= 2c + 1 and
+    # no more, and brun_profile for each y <= tau once.
+    inst = make()
+    lat = inst.lattice
+    calls = Counter()
+    counted = sieve.count_above
+
+    def counting(inst, y):
+        calls[y] += 1
+        return counted(inst, y)
+
+    monkeypatch.setattr(sieve, "count_above", counting)
+    below = lat.down_set(inst.tau)
+    r_tau = lat.rank[inst.tau]
+    assert r_tau >= 3
+    for cutoff in range(r_tau + 1):
+        calls.clear()
+        brun_bounds(inst, cutoff)
+        assert calls == Counter(y for y in below
+                                if lat.rank[y] <= 2 * cutoff + 1)
+    calls.clear()
+    brun_profile(inst)
+    assert calls == Counter(below)
+
+
+def test_brun_check_fails_on_a_raised_lower_bound(monkeypatch):
+    # the last entry of a profile is (exact, exact), so a lower bound
+    # raised by one there breaks the sandwich at that cutoff
+    n, m, k, inst = verify._dowling_instances()[0]
+    last = len(brun_profile(inst)) - 1
+    exact = sifted_count_exact(inst)
+    honest = sieve.brun_profile
+
+    def raised(inst):
+        profile = list(honest(inst))
+        lower, upper = profile[-1]
+        profile[-1] = (lower + 1, upper)
+        return tuple(profile)
+
+    monkeypatch.setattr(sieve, "brun_profile", raised)
+    ok, detail = verify.check_brun_bounds()
+    assert ok is False
+    assert detail == (f"n={n}, m={m}, k={k}, cutoff {last}: "
+                      f"{exact + 1} !<= {exact} !<= {exact}")
 
 
 def test_brun_bounds_cutoff_zero_upper_is_A():
