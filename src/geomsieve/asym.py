@@ -8,13 +8,15 @@ generating function exp(rz + (e^{mz} - 1)/m)) satisfy
 where delta is the unique positive root of delta (r + e^{m delta}) = n,
 g0 = r delta + (e^{m delta} - 1)/m and g2 = (n + m delta^2 e^{m delta})/2.
 Everything is evaluated in log space with mpmath working precision,
-so n can be large; compare_exact() measures the approximation against
-the exact triangle row sum.  mpmath is imported by the functions that
-evaluate, so loading this module (as the CLI does) does not load it.
+so n can be large.  compare_exact() measures the approximation against
+the exact D_{m,r}(n), a W_{m,r} row sum streamed one row at a time,
+and refuses n > 2000 with TooLarge.  mpmath is imported by the
+functions that evaluate, so loading this module (as the CLI does)
+does not load it.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .dowling import r_dowling_number
 from .errors import NoConvergence
@@ -90,18 +92,11 @@ def solve_delta(m, r, n, *, digits=50, max_iter=200):
         return d
 
 
-@dataclass(frozen=True)
-class SaddleData:
+class SaddleData(namedtuple("SaddleData",
+                            "m r n digits delta g0 g2 log_asymptotic")):
     """Saddle-point quantities; all mpf values carry `digits` precision."""
 
-    m: int
-    r: int
-    n: int
-    digits: int
-    delta: object
-    g0: object
-    g2: object
-    log_asymptotic: object
+    __slots__ = ()
 
 
 def saddle_values(m, r, n, *, digits=50):
@@ -129,8 +124,8 @@ def saddle_values(m, r, n, *, digits=50):
                           g0=g0, g2=g2, log_asymptotic=log_asym)
 
 
-@dataclass(frozen=True)
-class AsymComparison:
+class AsymComparison(namedtuple(
+        "AsymComparison", "saddle log_exact ratio rel_err normalized_err")):
     """Approximation vs the exact D_{m,r}(n).
 
     rel_err is |approx/exact - 1|; normalized_err rescales it by
@@ -138,11 +133,7 @@ class AsymComparison:
     reported rather than bounded because the theorem fixes no constant.
     """
 
-    saddle: SaddleData
-    log_exact: object
-    ratio: object
-    rel_err: object
-    normalized_err: object
+    __slots__ = ()
 
 
 def compare_exact(m, r, n, *, digits=50):

@@ -236,10 +236,8 @@ def cmd_dowling_numbers(args):
     from . import dowling
 
     r = 1 if args.r is None else args.r
-    if args.nmax < 0:
-        raise ValueError("need nmax >= 0")
-    values = [dowling.r_dowling_number(args.m, r, n)
-              for n in range(args.nmax + 1)]
+    dowling._check_numbers_n(args.nmax, "nmax")
+    values = list(dowling._dowling_numbers(args.m, r, args.nmax))
     if args.format == "csv":
         with _exact_digits():
             sys.stdout.write("n,value\n")

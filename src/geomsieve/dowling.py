@@ -16,12 +16,15 @@ and the blocks are ordered by least element.
 The triangle side is independent of the lattice side: first-kind rows
 w_m(n, k) and shifted second-kind rows W_{m,r}(n, k) come from their
 two-term recurrences over exact integers, and the test suite plays the
-two sides against each other.
+two sides against each other.  The triangle caches serve the readers
+of whole triangles only: the tables, the convolutions and the interval
+profiles.  The Dowling numbers D_{m,r}(n) are row sums, which
+_dowling_numbers streams while it holds one row and touches no cache.
 """
 
 import io
 import threading
-from collections import namedtuple
+from collections import deque, namedtuple
 from functools import lru_cache
 from itertools import repeat
 from math import comb
@@ -163,10 +166,10 @@ def dowling_sieve_instance(n, m, k, *, n_cap=5, m_cap=4):
     t_indices = [index[(tuple((x,) for x in range(n) if x != i),
                         ((0,),) * (n - 1))]
                  for i in range(k)]
-    x_total = dowling_number(m, n)
-    f = [Fraction(dowling_number(m, s), x_total) for s in range(n + 1)]
+    counts = list(_dowling_numbers(m, 1, n))
+    f = [Fraction(count, counts[n]) for count in counts]
     return SieveInstance(lattice=lat, A=range(lat.n_elems), T=t_indices,
-                         f=f, X=Fraction(x_total))
+                         f=f, X=Fraction(counts[n]))
 
 
 # -- Whitney triangles -------------------------------------------------------
@@ -335,16 +338,39 @@ def conv_equals_rwhitney_check(m, n, t, s_max):
 
 # -- Dowling numbers and the sieve closed form -------------------------------
 
+_NUMBERS_N_CAP = 2000  # D_{m,r}(2000) takes about 3 s and 19 MB
+
+
+def _check_numbers_n(n, name="n"):
+    """Refuse a negative n, or one over the cap, before any row."""
+    if n < 0:
+        raise ValueError(f"need {name} >= 0")
+    if n > _NUMBERS_N_CAP:
+        raise TooLarge(f"need {name} <= {_NUMBERS_N_CAP}, the cap on "
+                       "exact Dowling numbers")
+
+
+def _dowling_numbers(m, r, n):
+    """D_{m,r}(0), ..., D_{m,r}(n) as the row sums of W_{m,r}, holding
+    one row at a time and leaving the triangle cache alone."""
+    if m < 1 or r < 0:
+        raise ValueError("need m >= 1 and r >= 0")
+    row = (1,)
+    yield 1
+    for _ in range(n):
+        row = _next_second_row(m, r, row)
+        yield sum(row)
+
+
 def dowling_number(m, n):
     """D_m(n) = #Q_n(Z_m) = sum_k W_m(n, k)."""
     return r_dowling_number(m, 1, n)
 
 
 def r_dowling_number(m, r, n):
-    """D_{m,r}(n) = sum_k W_{m,r}(n, k)."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    return sum(_second_rows(m, r, n)[n])
+    """D_{m,r}(n) = sum_k W_{m,r}(n, k), for n up to the cap 2000."""
+    _check_numbers_n(n)
+    return deque(_dowling_numbers(m, r, n), maxlen=1).pop()
 
 
 def dowling_sieve_closed_form(m, n, k):

@@ -138,17 +138,6 @@ def _bell_numbers(n):
         yield row[0]
 
 
-def _dowling_numbers(m, n):
-    """D_m(0), ..., D_m(n) as row sums of W_{m,1}, without filling the
-    dowling triangle cache."""
-    from .dowling import _next_second_row
-    row = (1,)
-    yield 1
-    for _ in range(n):
-        row = _next_second_row(m, 1, row)
-        yield sum(row)
-
-
 def _refuse_over(what, sizes, cap_elements):
     """Raise TooLarge at the first of sizes, increasing lower bounds on
     the size of what, over the cap; no later, larger size is formed.
@@ -197,7 +186,7 @@ def parse_named(name, cap_elements=DEFAULT_CAP):
         from . import dowling
         n, m = int(parts[1]), int(parts[2])
         dowling._check_caps(n, m, n_cap=n, m_cap=m)
-        _refuse_over(name, _dowling_numbers(m, n), cap_elements)
+        _refuse_over(name, dowling._dowling_numbers(m, 1, n), cap_elements)
         return dowling.build_Qn(n, m, n_cap=n, m_cap=m)
     if kind == "uniform" and len(parts) == 3:
         k, n = int(parts[1]), int(parts[2])

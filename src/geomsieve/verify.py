@@ -10,7 +10,7 @@ recurrences they are compared against.
 
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import asym, dowling, generators, matroid, sieve
@@ -28,12 +28,7 @@ __all__ = ["CheckResult", "run_checks", "SCOPES", "CHECKS"]
 _SEED = 0x5eed
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
-    seconds: float
+CheckResult = namedtuple("CheckResult", "name ok detail seconds")
 
 
 # -- instance zoo ------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from geomsieve import generators, matroid
+from geomsieve import dowling, generators, matroid
 
 SMALL_ZOO = [
     "boolean:1",
@@ -40,3 +40,25 @@ def k4():
 @pytest.fixture
 def u24():
     return matroid.Matroid.uniform(2, 4)
+
+
+@pytest.fixture
+def row_steps(monkeypatch):
+    """The (m, r) of every W_{m,r} row formed by dowling's one row step,
+    in order, for tests that pin how many rows a reader forms."""
+    calls = []
+    step = dowling._next_second_row
+
+    def counted(m, r, prev):
+        calls.append((m, r))
+        return step(m, r, prev)
+
+    monkeypatch.setattr(dowling, "_next_second_row", counted)
+    return calls
+
+
+@pytest.fixture
+def second_cache_sizes():
+    """Rows held per key by dowling's second-kind triangle cache."""
+    return lambda: {key: len(rows)
+                    for key, rows in dowling._second_cache.items()}

@@ -7,6 +7,7 @@ instead of bitmask tricks), so agreement is meaningful.
 """
 
 from itertools import combinations
+from math import comb
 
 from geomsieve.poset import build_lattice
 
@@ -159,6 +160,18 @@ def bell_numbers(n_max):
             nxt.append(nxt[-1] + v)
         out.append(nxt[0])
         row = nxt
+    return out
+
+
+def r_dowling_numbers(m, r, n_max):
+    """D_{m,r}(0..n_max) from D(n + 1) = r D(n) + sum_j C(n, j) m^j
+    D(n - j), read off the exponential generating function
+    exp(rz + (e^{mz} - 1)/m), whose derivative is (r + e^{mz}) times
+    itself; no Whitney triangle is used."""
+    out = [1]
+    for n in range(n_max):
+        out.append(r * out[n] + sum(comb(n, j) * m ** j * out[n - j]
+                                    for j in range(n + 1)))
     return out
 
 

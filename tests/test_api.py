@@ -15,6 +15,7 @@ import pytest
 
 import geomsieve
 from geomsieve import (
+    asym,
     brun,
     dowling,
     generators,
@@ -117,6 +118,14 @@ def test_submodule_imports_load_only_what_they_need(tmp_path):
         assert "geomsieve.matroid" in loaded
         assert sorted(HEAVY & loaded) == [], name
 
+    # the asymptotic records and verify-all's results are namedtuples
+    for argv in (["asym", "dowling", "--m", "1", "--r", "1", "--n", "50",
+                  "--compare-exact"],
+                 ["verify-all", "--fast", "--scope", "asym"]):
+        loaded = _cli_loaded(argv, 0)
+        assert {"geomsieve.asym", "mpmath"} <= loaded
+        assert sorted({"dataclasses", "inspect"} & loaded) == [], argv
+
 
 def test_scopes_partition_the_checks():
     named = [name for scope, names in scopes.SCOPES.items()
@@ -139,10 +148,21 @@ def test_record_types_are_frozen_values():
                             "partial_sums=(1, -1, 0))")
     assert repr(tri) == ("WhitneyTriangle(kind='first', m=2, r=1, n_max=1, "
                          "rows=((1,), (-1, 1)))")
+    result = verify.CheckResult("brun-zoo", True, "3 lattices", 0.5)
+    assert repr(result) == ("CheckResult(name='brun-zoo', ok=True, "
+                            "detail='3 lattices', seconds=0.5)")
+    cmp_ = asym.compare_exact(1, 1, 10, digits=15)
+    assert cmp_.saddle == asym.saddle_values(1, 1, 10, digits=15)
+    assert repr(cmp_.saddle).startswith(
+        "SaddleData(m=1, r=1, n=10, digits=15, delta=mpf('")
+    assert repr(cmp_).startswith("AsymComparison(saddle=SaddleData(m=1, ")
     for record, field, other in [
             (chk, "witness", poset.GeometricCheck(False, "NotAtomistic", (3,))),
             (report, "partial_sums", brun.BrunReport((1, -2, 1), (1, -1, 1))),
-            (tri, "rows", dowling.whitney_second_table(2, 1, 1))]:
+            (tri, "rows", dowling.whitney_second_table(2, 1, 1)),
+            (result, "ok", result._replace(ok=False)),
+            (cmp_.saddle, "delta", asym.saddle_values(1, 1, 11, digits=15)),
+            (cmp_, "rel_err", asym.compare_exact(1, 2, 10, digits=15))]:
         copy = pickle.loads(pickle.dumps(record))
         assert copy == record and hash(copy) == hash(record)
         assert copy is not record and record != other

@@ -7,9 +7,9 @@ import pytest
 
 from geomsieve.asym import compare_exact, saddle_values, solve_delta
 from geomsieve.dowling import r_dowling_number
-from geomsieve.errors import NoConvergence
+from geomsieve.errors import NoConvergence, TooLarge
 
-from oracles import bell_numbers
+from oracles import bell_numbers, r_dowling_numbers
 
 # Relative errors of the approximation, pinned once from a verified run
 # at 50 working digits.  The checks below assert agreement to 1e-6
@@ -159,6 +159,21 @@ def test_exact_bell_cross_check():
     cmp = compare_exact(1, 1, 50)
     with mp.workdps(60):
         assert abs(cmp.log_exact - mp.log(mp.mpf(bells[51]))) < mp.mpf("1e-28")
+
+
+def test_compare_exact_streams_the_exact_side(second_cache_sizes):
+    before = second_cache_sizes()
+    cmp = compare_exact(3, 5, 70)
+    exact = r_dowling_numbers(3, 5, 70)[70]
+    with mp.workdps(60):
+        assert abs(cmp.log_exact - mp.log(mp.mpf(exact))) < mp.mpf("1e-30")
+    assert second_cache_sizes() == before
+
+
+def test_compare_exact_refuses_n_over_cap_before_any_row(row_steps):
+    with pytest.raises(TooLarge, match="^need n <= 2000, the cap on exact "):
+        compare_exact(2, 3, 2001)
+    assert row_steps == []
 
 
 def test_digits_parameter_controls_precision():

@@ -14,6 +14,8 @@ from geomsieve.cli import main
 from geomsieve.poset import lattice_from_json, lattice_to_json
 from geomsieve.sieve import sieve_instance_to_json
 
+import oracles
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -445,6 +447,40 @@ def test_dowling_numbers_csv(capsys):
     assert lines[0] == "n,value"
     values = [int(line.split(",")[1]) for line in lines[1:]]
     assert values == [dowling.r_dowling_number(3, 2, n) for n in range(4)]
+
+
+def test_dowling_numbers_one_pass_and_no_cache(capsys, row_steps,
+                                               second_cache_sizes):
+    before = second_cache_sizes()
+    for _ in range(2):
+        row_steps.clear()
+        code, data, _ = run_json(capsys, "dowling", "numbers", "--m", "3",
+                                 "--r", "5", "--nmax", "40")
+        assert code == 0
+        assert len(row_steps) == 40
+    assert data["values"] == oracles.r_dowling_numbers(3, 5, 40)
+    assert second_cache_sizes() == before
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["dowling", "numbers", "--m", "2", "--r", "3", "--nmax", "2001"],
+     "nmax"),
+    (["asym", "dowling", "--m", "2", "--r", "3", "--n", "2001",
+      "--compare-exact"], "n"),
+], ids=["dowling-numbers", "asym-compare-exact"])
+def test_dowling_numbers_over_cap_exit_two(capsys, row_steps, argv, name):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (f"error: need {name} <= 2000, the cap on exact "
+                   "Dowling numbers\n")
+    assert row_steps == []
+
+
+def test_asym_without_exact_side_is_uncapped(capsys):
+    code, data, _ = run_json(capsys, "asym", "dowling", "--m", "2",
+                             "--r", "3", "--n", "100000")
+    assert code == 0
+    assert "log_exact" not in data
 
 
 def test_dowling_numbers_past_int_str_digit_limit(capsys):

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -401,6 +404,67 @@ def test_triangle_csv_refuses_malformed_input(text, message):
 def test_dowling_numbers_refuse_negative_n(call):
     with pytest.raises(ValueError, match=r"^need n >= 0$"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: r_dowling_number(2, 3, 2001),
+    lambda: dowling_number(1, 2001),
+], ids=["r_dowling_number(2,3,2001)", "dowling_number(1,2001)"])
+def test_dowling_numbers_refuse_n_over_cap_before_any_row(call, row_steps):
+    with pytest.raises(TooLarge, match=r"^need n <= 2000, the cap on exact "
+                                       r"Dowling numbers$"):
+        call()
+    assert row_steps == []
+    assert dowling._check_numbers_n(2000) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 8), st.integers(0, 30))
+def test_dowling_stream_matches_egf_recurrence(m, r, n):
+    expected = oracles.r_dowling_numbers(m, r, n)
+    assert list(dowling._dowling_numbers(m, r, n)) == expected
+    assert r_dowling_number(m, r, n) == expected[n]
+
+
+@pytest.mark.parametrize("m, r", [(0, 1), (2, -1)])
+def test_dowling_stream_validates_before_its_first_value(m, r):
+    with pytest.raises(ValueError, match=r"^need m >= 1 and r >= 0$"):
+        next(dowling._dowling_numbers(m, r, 3))
+
+
+def test_dowling_numbers_leave_triangle_cache_alone(second_cache_sizes):
+    before = second_cache_sizes()
+    assert r_dowling_number(4, 11, 60) == \
+        oracles.r_dowling_numbers(4, 11, 60)[60]
+    assert dowling_number(5, 45) == oracles.r_dowling_numbers(5, 1, 45)[45]
+    assert dowling_sieve_closed_form(3, 4, 2) == \
+        oracles.r_dowling_numbers(3, 7, 2)[2]
+    assert second_cache_sizes() == before
+
+
+def test_sieve_instance_reads_its_numbers_in_one_pass(row_steps):
+    counts = oracles.r_dowling_numbers(3, 1, 4)
+    for _ in range(2):
+        row_steps.clear()
+        inst = dowling_sieve_instance(4, 3, 2)
+        assert row_steps == [(3, 1)] * 4
+        assert inst.X == counts[4]
+        assert inst.f == tuple(Fraction(c, counts[4]) for c in counts)
+
+
+def test_r_dowling_number_holds_one_row():
+    # rows 0..1000 of the triangle, cached, peak at about 213 MB
+    code = ("import tracemalloc\n"
+            "from geomsieve.dowling import r_dowling_number\n"
+            "tracemalloc.start()\n"
+            "r_dowling_number(2, 3, 1000)\n"
+            "print(tracemalloc.get_traced_memory()[1])")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dowling.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 20 * 2 ** 20
 
 
 def test_triangle_tables_refuse_negative_n_max():

@@ -14,7 +14,7 @@ import oracles
 def test_size_estimates_match_exact_counts():
     assert list(generators._bell_numbers(12)) == oracles.bell_numbers(12)
     for m in (1, 2, 3):
-        assert list(generators._dowling_numbers(m, 8)) == \
+        assert list(dowling._dowling_numbers(m, 1, 8)) == \
             [dowling.dowling_number(m, n) for n in range(9)]
 
 
