@@ -9,8 +9,8 @@ where delta is the unique positive root of delta (r + e^{m delta}) = n,
 g0 = r delta + (e^{m delta} - 1)/m and g2 = (n + m delta^2 e^{m delta})/2.
 Everything is evaluated in log space with mpmath working precision,
 so n can be large.  compare_exact() measures the approximation against
-the exact D_{m,r}(n), a W_{m,r} row sum streamed one row at a time,
-and refuses n > 2000 with TooLarge.  mpmath is imported by the
+the exact D_{m,r}(n), streamed by dowling's shift recurrence, and
+refuses n > 2000 with TooLarge.  mpmath is imported by the
 functions that evaluate, so loading this module (as the CLI does)
 does not load it.
 """
@@ -137,10 +137,17 @@ class AsymComparison(namedtuple(
 
 
 def compare_exact(m, r, n, *, digits=50):
+    data = saddle_values(m, r, n, digits=digits)
+    return _compare(data, r_dowling_number(m, r, n))
+
+
+def _compare(data, exact):
+    """The saddle data against the exact D_{m,r}(n) it was computed
+    for; check_saddle reads its exact values from one stream per
+    ladder of n."""
     import mpmath as mp
 
-    data = saddle_values(m, r, n, digits=digits)
-    exact = r_dowling_number(m, r, n)
+    n, digits = data.n, data.digits
     with mp.workdps(digits + 15):
         log_exact = mp.log(mp.mpf(exact))
         ratio = mp.exp(data.log_asymptotic - log_exact)

@@ -18,16 +18,21 @@ w_m(n, k) and shifted second-kind rows W_{m,r}(n, k) come from their
 two-term recurrences over exact integers, and the test suite plays the
 two sides against each other.  The triangle caches serve the readers
 of whole triangles only: the tables, the convolutions and the interval
-profiles.  The Dowling numbers D_{m,r}(n) are row sums, which
-_dowling_numbers streams while it holds one row and touches no cache.
+profiles, and they refuse depths over _TRIANGLE_N_CAP.  The Dowling
+numbers D_{m,r}(n) are the row sums, but _dowling_numbers streams them
+from the shift recurrence D_{m,r}(i+1) = r D_{m,r}(i) + D_{m,r+m}(i),
+which follows from the exponential generating function
+exp(rx + (e^{mx} - 1)/m): it holds one anti-diagonal of those values,
+forms no triangle row and touches no cache.
 """
 
 import io
 import threading
 from collections import deque, namedtuple
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import comb
+from operator import mul
 
 from .errors import TooLarge
 from .poset import _exact_digits, build_lattice
@@ -185,8 +190,15 @@ def _next_row(prev, coefs):
     return tuple(a + c * b for a, b, c in zip((0,) + prev, prev + (0,), coefs))
 
 
+_TRIANGLE_N_CAP = 500  # rows 0..500 of one triangle hold about 70 MB
+
+
 def _grow(cache, key, nmax, step):
-    """Rows 0..nmax of the cached triangle under key, extended by step."""
+    """Rows 0..nmax of the cached triangle under key, extended by step;
+    a depth over the cap is refused before any row is formed."""
+    if nmax > _TRIANGLE_N_CAP:
+        raise TooLarge(f"need triangle depth <= {_TRIANGLE_N_CAP}, the cap "
+                       f"on cached Whitney rows (asked for {nmax})")
     with _tri_lock:
         rows = cache.setdefault(key, [(1,)])
         while len(rows) <= nmax:
@@ -208,13 +220,8 @@ def _second_rows(m, r, nmax):
     W(n, k) = W(n-1, k-1) + (km + r) W(n-1, k)."""
     if m < 1 or r < 0:
         raise ValueError("need m >= 1 and r >= 0")
-    return _grow(_second_cache, (m, r), nmax,
-                 lambda prev: _next_second_row(m, r, prev))
-
-
-def _next_second_row(m, r, prev):
-    """Row n = len(prev) of W_{m,r} from row n - 1."""
-    return _next_row(prev, (k * m + r for k in range(len(prev) + 1)))
+    return _grow(_second_cache, (m, r), nmax, lambda prev: _next_row(
+        prev, (k * m + r for k in range(len(prev) + 1))))
 
 
 class WhitneyTriangle(namedtuple("WhitneyTriangle", "kind m r n_max rows")):
@@ -274,8 +281,8 @@ def shifted_convolution(m, n, t, s):
     """c_{n,t}(s) = sum_k w_m(n, k) W_m(k + s, t), exactly."""
     if min(n, t, s) < 0:
         raise ValueError("need n, t, s >= 0")
+    second = _second_rows(m, 1, n + s)  # the deeper one, refused first
     first = _first_rows(m, n)[n]
-    second = _second_rows(m, 1, n + s)
     return sum(first[k] * (second[k + s][t] if t <= k + s else 0)
                for k in range(n + 1))
 
@@ -338,7 +345,7 @@ def conv_equals_rwhitney_check(m, n, t, s_max):
 
 # -- Dowling numbers and the sieve closed form -------------------------------
 
-_NUMBERS_N_CAP = 2000  # D_{m,r}(2000) takes about 3 s and 19 MB
+_NUMBERS_N_CAP = 2000  # D_{m,r}(0..2000) take about 2.5 s and 5 MB
 
 
 def _check_numbers_n(n, name="n"):
@@ -351,15 +358,31 @@ def _check_numbers_n(n, name="n"):
 
 
 def _dowling_numbers(m, r, n):
-    """D_{m,r}(0), ..., D_{m,r}(n) as the row sums of W_{m,r}, holding
-    one row at a time and leaving the triangle cache alone."""
+    """D_{m,r}(0), ..., D_{m,r}(n), one anti-diagonal step per value.
+
+    After step k the stream holds diag[i] = D_{m, r+(k-i)m}(i) for
+    i = 0..k, whose last entry is D_{m,r}(k).  It sizes nothing by n,
+    so a reader that stops early pays only for the values it read.
+    """
     if m < 1 or r < 0:
         raise ValueError("need m >= 1 and r >= 0")
-    row = (1,)
+    diag = [1]
     yield 1
     for _ in range(n):
-        row = _next_second_row(m, r, row)
-        yield sum(row)
+        diag = _next_diagonal(m, r, diag)
+        yield diag[-1]
+
+
+def _next_diagonal(m, r, diag):
+    """Anti-diagonal k + 1 from anti-diagonal k = len(diag) - 1.
+
+    With s = r + (k-i)m the shift recurrence reads
+    new[i+1] = D_{m,s}(i+1) = s diag[i] + new[i], and new[0] = 1, so
+    the new diagonal is one running sum.
+    """
+    k = len(diag) - 1
+    return list(accumulate(map(mul, range(r + k * m, r - 1, -m), diag),
+                           initial=1))
 
 
 def dowling_number(m, n):

@@ -44,16 +44,16 @@ def u24():
 
 @pytest.fixture
 def row_steps(monkeypatch):
-    """The (m, r) of every W_{m,r} row formed by dowling's one row step,
-    in order, for tests that pin how many rows a reader forms."""
+    """The (m, r) of every step of dowling's Dowling-number stream, in
+    order, for tests that pin how many steps a reader takes."""
     calls = []
-    step = dowling._next_second_row
+    step = dowling._next_diagonal
 
-    def counted(m, r, prev):
+    def counted(m, r, diag):
         calls.append((m, r))
-        return step(m, r, prev)
+        return step(m, r, diag)
 
-    monkeypatch.setattr(dowling, "_next_second_row", counted)
+    monkeypatch.setattr(dowling, "_next_diagonal", counted)
     return calls
 
 

@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import pytest
 
+from geomsieve import verify
 from geomsieve.asym import compare_exact, saddle_values, solve_delta
 from geomsieve.dowling import r_dowling_number
 from geomsieve.errors import NoConvergence, TooLarge
@@ -174,6 +175,22 @@ def test_compare_exact_refuses_n_over_cap_before_any_row(row_steps):
     with pytest.raises(TooLarge, match="^need n <= 2000, the cap on exact "):
         compare_exact(2, 3, 2001)
     assert row_steps == []
+
+
+@pytest.mark.parametrize("fast", [False, True], ids=["full", "fast"])
+def test_saddle_check_matches_per_n_comparisons(fast):
+    ns = (50, 100, 200) if fast else (50, 100, 200, 400)
+    details = []
+    for m, r in ((1, 1), (2, 1), (1, 2), (2, 3)):
+        errs = [float(compare_exact(m, r, n).rel_err) for n in ns]
+        details.append(f"({m},{r}) err {errs[0]:.2e}->{errs[-1]:.2e}")
+    assert verify.check_saddle(fast=fast) == (True, "; ".join(details))
+
+
+def test_saddle_check_reads_one_pass_per_ladder(row_steps):
+    assert verify.check_saddle(fast=True)[0]
+    assert row_steps == [(1, 1)] * 200 + [(2, 1)] * 200 + [(1, 2)] * 200 \
+        + [(2, 3)] * 200
 
 
 def test_digits_parameter_controls_precision():

@@ -416,6 +416,24 @@ def test_dowling_conv(capsys):
     assert data["via_shifted_triangle"] == 4
 
 
+@pytest.mark.parametrize("argv, depth", [
+    (["dowling", "conv", "--m", "2", "--n", "3", "--t", "5", "--s", "1000"],
+     1003),
+    (["dowling", "table", "--kind", "first", "--m", "2", "--nmax", "501"],
+     501),
+    (["dowling", "table", "--kind", "second", "--m", "2", "--r", "3",
+      "--nmax", "501"], 501),
+], ids=["conv", "table-first", "table-second"])
+def test_triangle_depth_over_cap_exit_two(capsys, second_cache_sizes, argv,
+                                          depth):
+    before = second_cache_sizes()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == ("error: need triangle depth <= 500, the cap on cached "
+                   f"Whitney rows (asked for {depth})\n")
+    assert second_cache_sizes() == before
+
+
 def test_dowling_conv_below_diagonal(capsys):
     code, data, _ = run_json(capsys, "dowling", "conv", "--m", "2",
                              "--n", "3", "--t", "1", "--s", "4")

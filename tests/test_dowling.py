@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomsieve import dowling, generators
+from geomsieve import dowling, generators, verify
 from geomsieve.dowling import (
     build_Qn,
     canonical_tau_index,
@@ -426,6 +426,22 @@ def test_dowling_stream_matches_egf_recurrence(m, r, n):
     assert r_dowling_number(m, r, n) == expected[n]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 6), st.integers(0, 25))
+def test_dowling_stream_matches_triangle_row_sums(m, r, n):
+    rows = whitney_second_table(m, r, n).rows
+    assert list(dowling._dowling_numbers(m, r, n)) == list(map(sum, rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 8), st.integers(0, 30))
+def test_dowling_stream_satisfies_shift_recurrence(m, r, n):
+    d = list(dowling._dowling_numbers(m, r, n + 1))
+    shifted = list(dowling._dowling_numbers(m, r + m, n))
+    assert d[0] == 1
+    assert all(d[i + 1] == r * d[i] + shifted[i] for i in range(n + 1))
+
+
 @pytest.mark.parametrize("m, r", [(0, 1), (2, -1)])
 def test_dowling_stream_validates_before_its_first_value(m, r):
     with pytest.raises(ValueError, match=r"^need m >= 1 and r >= 0$"):
@@ -452,8 +468,14 @@ def test_sieve_instance_reads_its_numbers_in_one_pass(row_steps):
         assert inst.f == tuple(Fraction(c, counts[4]) for c in counts)
 
 
+def test_classical_oracles_check_reads_one_pass(row_steps):
+    assert verify.check_classical_oracles()[0]
+    assert row_steps == [(1, 1)] * 30
+
+
 def test_r_dowling_number_holds_one_row():
-    # rows 0..1000 of the triangle, cached, peak at about 213 MB
+    # the stream holds one anti-diagonal, about 1.2 MB at its peak; rows
+    # 0..1000 of the cached triangle peaked at about 213 MB
     code = ("import tracemalloc\n"
             "from geomsieve.dowling import r_dowling_number\n"
             "tracemalloc.start()\n"
@@ -465,6 +487,27 @@ def test_r_dowling_number_holds_one_row():
         timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) <= 20 * 2 ** 20
+
+
+@pytest.mark.parametrize("call", [
+    lambda: whitney_first_table(2, 11),
+    lambda: whitney_second_table(3, 2, 11),
+    lambda: shifted_convolution(2, 3, 5, 8),
+    lambda: conv_equals_rwhitney_check(2, 1, 3, 11),
+], ids=["first_table", "second_table", "shifted_convolution",
+        "conv_equals_rwhitney_check"])
+def test_triangles_refuse_depth_over_cap_before_any_row(monkeypatch, call):
+    monkeypatch.setattr(dowling, "_TRIANGLE_N_CAP", 10)
+    monkeypatch.setattr(dowling, "_first_cache", {})
+    monkeypatch.setattr(dowling, "_second_cache", {})
+    with pytest.raises(TooLarge, match=r"^need triangle depth <= 10, the "
+                                       r"cap on cached Whitney rows \(asked "
+                                       r"for 1[01]\)$"):
+        call()
+    assert dowling._first_cache == {} and dowling._second_cache == {}
+    assert whitney_second_table(3, 2, 10).n_max == 10
+    assert shifted_convolution(2, 3, 5, 7) == \
+        whitney_second_table(2, 7, 7).value(7, 2)
 
 
 def test_triangle_tables_refuse_negative_n_max():

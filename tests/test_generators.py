@@ -24,6 +24,14 @@ def test_huge_partition_refused_by_cap():
         generators.parse_named("partition:2000")
 
 
+def test_huge_dowling_refused_after_a_handful_of_steps(row_steps):
+    # D_2(n) passes the cap 5000 at n = 7; a stream sized by n would
+    # allocate n + 1 slots before its first value
+    with pytest.raises(TooLarge, match=r"over the cap 5000$"):
+        generators.parse_named("dowling:1000000000:2")
+    assert row_steps == [(2, 1)] * 7
+
+
 def test_huge_dowling_refused_without_filling_triangle_cache():
     before = {key: len(rows) for key, rows in dowling._second_cache.items()}
     with pytest.raises(TooLarge, match=r"over the cap 5000$"):
