@@ -183,20 +183,16 @@ def cmd_verify_all(args):
 def cmd_dowling_table(args):
     from . import dowling
 
-    if args.kind == "first":
-        if args.r not in (None, 1):
-            raise ValueError("the first-kind triangle has no shift; drop --r")
-        tri = dowling.whitney_first_table(args.m, args.nmax)
-    else:
-        tri = dowling.whitney_second_table(args.m,
-                                           1 if args.r is None else args.r,
-                                           args.nmax)
-    text = dowling.triangle_to_csv(tri)
+    if args.kind == "first" and args.r not in (None, 1):
+        raise ValueError("the first-kind triangle has no shift; drop --r")
+    r = 1 if args.r is None else args.r
+    # each row is written as it is formed, so the table is never held
+    rows = dowling._table_rows(args.kind, args.m, r, args.nmax)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            dowling._write_csv(fh, args.kind, args.m, r, rows)
     else:
-        sys.stdout.write(text)
+        dowling._write_csv(sys.stdout, args.kind, args.m, r, rows)
     return 0
 
 

@@ -16,23 +16,22 @@ and the blocks are ordered by least element.
 The triangle side is independent of the lattice side: first-kind rows
 w_m(n, k) and shifted second-kind rows W_{m,r}(n, k) come from their
 two-term recurrences over exact integers, and the test suite plays the
-two sides against each other.  The triangle caches serve the readers
-of whole triangles only: the tables, the convolutions and the interval
-profiles, and they refuse depths over _TRIANGLE_N_CAP.  The Dowling
-numbers D_{m,r}(n) are the row sums, but _dowling_numbers streams them
-from the shift recurrence D_{m,r}(i+1) = r D_{m,r}(i) + D_{m,r+m}(i),
-which follows from the exponential generating function
-exp(rx + (e^{mx} - 1)/m): it holds one anti-diagonal of those values,
-forms no triangle row and touches no cache.
+two sides against each other.  No triangle is kept: each reader forms
+the rows it needs, lazily, once (the convolution grid forms its own
+once per m), and a depth over _TRIANGLE_N_CAP is refused before any
+row.  The Dowling numbers D_{m,r}(n) are the row sums, but
+_dowling_numbers streams them from the shift recurrence
+D_{m,r}(i+1) = r D_{m,r}(i) + D_{m,r+m}(i), which follows from the
+exponential generating function exp(rx + (e^{mx} - 1)/m): it holds one
+anti-diagonal of those values and forms no triangle row.
 """
 
 import io
-import threading
 from collections import deque, namedtuple
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from math import comb
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import TooLarge
 from .poset import _exact_digits, build_lattice
@@ -48,7 +47,7 @@ __all__ = [
     "shifted_convolution",
     "conv_orthogonality_check",
     "conv_series",
-    "conv_equals_rwhitney_check",
+    "conv_grid_check",
     "dowling_number",
     "r_dowling_number",
     "dowling_sieve_closed_form",
@@ -179,11 +178,6 @@ def dowling_sieve_instance(n, m, k, *, n_cap=5, m_cap=4):
 
 # -- Whitney triangles -------------------------------------------------------
 
-_first_cache = {}
-_second_cache = {}
-_tri_lock = threading.Lock()
-
-
 def _next_row(prev, coefs):
     """Row n = len(prev) of a triangle with
     T(n, k) = T(n-1, k-1) + coefs[k] T(n-1, k)."""
@@ -193,35 +187,39 @@ def _next_row(prev, coefs):
 _TRIANGLE_N_CAP = 500  # rows 0..500 of one triangle hold about 70 MB
 
 
-def _grow(cache, key, nmax, step):
-    """Rows 0..nmax of the cached triangle under key, extended by step;
-    a depth over the cap is refused before any row is formed."""
+def _rows(nmax, coefs):
+    """An iterator over rows 0..nmax of the triangle whose row n has the
+    coefficients coefs(n); the depth is checked here, before any row."""
     if nmax > _TRIANGLE_N_CAP:
         raise TooLarge(f"need triangle depth <= {_TRIANGLE_N_CAP}, the cap "
-                       f"on cached Whitney rows (asked for {nmax})")
-    with _tri_lock:
-        rows = cache.setdefault(key, [(1,)])
-        while len(rows) <= nmax:
-            rows.append(step(rows[-1]))
-        return list(rows[: nmax + 1])
+                       f"on Whitney rows (asked for {nmax})")
+    return accumulate(map(coefs, range(1, nmax + 1)), _next_row,
+                      initial=(1,))
 
 
 def _first_rows(m, nmax):
-    """Rows 0..nmax of w_m(n, k):
+    """Rows 0..nmax of w_m(n, k), lazily:
     w(n, k) = w(n-1, k-1) - (1 + m(n-1)) w(n-1, k)."""
     if m < 1:
         raise ValueError("need m >= 1")
-    return _grow(_first_cache, m, nmax, lambda prev: _next_row(
-        prev, repeat(-(1 + m * (len(prev) - 1)))))
+    return _rows(nmax, lambda n: repeat(-(1 + m * (n - 1))))
 
 
 def _second_rows(m, r, nmax):
-    """Rows 0..nmax of W_{m,r}(n, k):
+    """Rows 0..nmax of W_{m,r}(n, k), lazily:
     W(n, k) = W(n-1, k-1) + (km + r) W(n-1, k)."""
     if m < 1 or r < 0:
         raise ValueError("need m >= 1 and r >= 0")
-    return _grow(_second_cache, (m, r), nmax, lambda prev: _next_row(
-        prev, (k * m + r for k in range(len(prev) + 1))))
+    return _rows(nmax, lambda n: range(r, r + m * n + 1, m))
+
+
+def _table_rows(kind, m, r, n_max):
+    """Rows 0..n_max of the first- or second-kind triangle, lazily; every
+    argument is checked before the first row."""
+    if n_max < 0:
+        raise ValueError("need n_max >= 0")
+    return (_first_rows(m, n_max) if kind == "first"
+            else _second_rows(m, r, n_max))
 
 
 class WhitneyTriangle(namedtuple("WhitneyTriangle", "kind m r n_max rows")):
@@ -244,18 +242,14 @@ class WhitneyTriangle(namedtuple("WhitneyTriangle", "kind m r n_max rows")):
 def whitney_first_table(m, n_max):
     """First-kind triangle w_m; row n holds mu-sums of Q_n(Z_m) by
     number of blocks (k = n - rank)."""
-    if n_max < 0:
-        raise ValueError("need n_max >= 0")
-    rows = tuple(_first_rows(m, n_max))
+    rows = tuple(_table_rows("first", m, 1, n_max))
     return WhitneyTriangle(kind="first", m=m, r=1, n_max=n_max, rows=rows)
 
 
 def whitney_second_table(m, r, n_max):
     """Shifted second-kind triangle W_{m,r}; r = 1 counts Q_n(Z_m)
     elements by number of blocks."""
-    if n_max < 0:
-        raise ValueError("need n_max >= 0")
-    rows = tuple(_second_rows(m, r, n_max))
+    rows = tuple(_table_rows("second", m, r, n_max))
     return WhitneyTriangle(kind="second", m=m, r=r, n_max=n_max, rows=rows)
 
 
@@ -266,7 +260,7 @@ def r_whitney_definition_check(m, r, n):
     # s(k, j) = w_1(k-1, j-1), because Q_{k-1}(Z_1) is the partition
     # lattice Pi_k
     s1 = [(1,)] + [(0,) + w for w in _first_rows(1, n - 1)]
-    row = _second_rows(m, r, n)[n]
+    row = deque(_second_rows(m, r, n), maxlen=1).pop()
     rhs = [0] * (n + 1)
     for k in range(n + 1):
         c = m ** k * row[k]
@@ -282,16 +276,22 @@ def shifted_convolution(m, n, t, s):
     if min(n, t, s) < 0:
         raise ValueError("need n, t, s >= 0")
     second = _second_rows(m, 1, n + s)  # the deeper one, refused first
-    first = _first_rows(m, n)[n]
-    return sum(first[k] * (second[k + s][t] if t <= k + s else 0)
-               for k in range(n + 1))
+    return _conv_value(deque(_first_rows(m, n), maxlen=1).pop(), second,
+                       t, s)
+
+
+def _conv_value(first, second, t, s):
+    """sum_k first[k] W(k + s, t), W's rows read from row 0 of second."""
+    lo = max(t - s, 0)  # row k + s has an entry t from k = t - s on
+    return sum(map(mul, first[lo:],
+                   map(itemgetter(t), islice(second, lo + s, None))))
 
 
 def conv_orthogonality_check(m, n_max):
     """Both matrix products of the two triangles equal the identity:
     returns (True, None) or (False, (direction, n, s))."""
-    first = _first_rows(m, n_max)
-    second = _second_rows(m, 1, n_max)
+    first = list(_first_rows(m, n_max))
+    second = list(_second_rows(m, 1, n_max))
     for n in range(n_max + 1):
         for s in range(n_max + 1):
             want = 1 if n == s else 0
@@ -325,22 +325,23 @@ def conv_series(m, n, t, order):
     return tuple(coeffs)
 
 
-def conv_equals_rwhitney_check(m, n, t, s_max):
-    """Three routes to c_{n,t}(s) agree for s = 0..s_max: the defining
-    convolution, the generating function, and W_{m, 1+mn}(s, t-n)."""
-    series = conv_series(m, n, t, s_max)
-    if t >= n:
-        table = _second_rows(m, 1 + m * n, s_max)
-    for s in range(s_max + 1):
-        conv = shifted_convolution(m, n, t, s)
-        if conv != series[s]:
-            return False
-        direct = 0
-        if t >= n and t - n <= s:
-            direct = table[s][t - n]
-        if conv != direct:
-            return False
-    return True
+def conv_grid_check(m, n_max, t_max, s_max):
+    """c_{n,t}(s) from the convolution, the series and W_{m,1+mn}(s, t-n)
+    (0 for t < n) agree for n, t, s up to n_max, t_max, s_max, with each
+    triangle formed once: (True, None) or (False, (n, t, s))."""
+    if min(n_max, t_max, s_max) < 0:
+        raise ValueError("need n_max, t_max, s_max >= 0")
+    second = list(_second_rows(m, 1, n_max + s_max))  # the deepest first
+    for n, first in enumerate(_first_rows(m, n_max)):
+        shifted = list(_second_rows(m, 1 + m * n, s_max))
+        for t in range(t_max + 1):
+            series = conv_series(m, n, t, s_max)
+            for s in range(s_max + 1):
+                conv = _conv_value(first, second, t, s)
+                direct = shifted[s][t - n] if 0 <= t - n <= s else 0
+                if not conv == series[s] == direct:
+                    return False, (n, t, s)
+    return True, None
 
 
 # -- Dowling numbers and the sieve closed form -------------------------------
@@ -438,11 +439,12 @@ def interval_profile_check(n, m, element, *, n_cap=5, m_cap=4):
     b = len(blocks)
     n0 = n - sum(map(len, blocks))
 
-    upper_expected = _second_rows(m, 1, b)[b][::-1]
-    lower = _second_rows(m, 1, n0)[n0][::-1]
-    first = _first_rows(m, n0)[n0][::-1]
+    upper_expected = list(_second_rows(m, 1, b))[b][::-1]
+    lower = list(_second_rows(m, 1, n0))[n0][::-1]
+    first = list(_first_rows(m, n0))[n0][::-1]
     big = max(map(len, blocks), default=1) - 1
-    part_second, part_first = _second_rows(1, 1, big), _first_rows(1, big)
+    part_second = list(_second_rows(1, 1, big))
+    part_first = list(_first_rows(1, big))
     for blk in blocks:
         lower = _convolve(lower, part_second[len(blk) - 1][::-1])
         first = _convolve(first, part_first[len(blk) - 1][::-1])
@@ -475,18 +477,22 @@ def interval_profile_check(n, m, element, *, n_cap=5, m_cap=4):
 def triangle_to_csv(tri):
     """Two header lines (metadata, then column names) and one row per
     (n, k) entry, every value in full."""
+    buf = io.StringIO()
+    _write_csv(buf, tri.kind, tri.m, tri.r, tri.rows)
+    return buf.getvalue()
+
+
+def _write_csv(stream, kind, m, r, rows):
+    """Write triangle_to_csv's text to stream, each row as it comes."""
     import csv
 
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
+    w = csv.writer(stream, lineterminator="\n")
     w.writerow(["kind", "m", "r"])
-    w.writerow([tri.kind, tri.m, tri.r])
+    w.writerow([kind, m, r])
     w.writerow(["n", "k", "value"])
     with _exact_digits():
-        for n in range(tri.n_max + 1):
-            for k in range(n + 1):
-                w.writerow([n, k, tri.rows[n][k]])
-    return buf.getvalue()
+        for n, row in enumerate(rows):
+            w.writerows((n, k, v) for k, v in enumerate(row))
 
 
 def triangle_from_csv(text):

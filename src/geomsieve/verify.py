@@ -188,21 +188,13 @@ def check_convolution_grid(fast=False):
     """Shifted convolutions match both the generating function and the
     shifted second-kind triangle on a grid, and vanish for t < n."""
     m_top, n_top, t_top, s_max = (2, 5, 9, 10) if fast else (4, 8, 12, 20)
-    triples = 0
     for m in range(1, m_top + 1):
-        for n in range(0, n_top + 1):
-            for t in range(n, t_top + 1):
-                if not dowling.conv_equals_rwhitney_check(m, n, t, s_max):
-                    return False, f"mismatch at m={m}, n={n}, t={t}"
-                triples += s_max + 1
-    zeros = 0
-    for m in range(1, m_top + 1):
-        for n in range(1, n_top + 1):
-            for t in range(n):
-                for s in range(6):
-                    if dowling.shifted_convolution(m, n, t, s) != 0:
-                        return False, f"nonzero at m={m}, n={n}, t={t}, s={s}"
-                    zeros += 1
+        ok, witness = dowling.conv_grid_check(m, n_top, t_top, s_max)
+        if not ok:
+            return False, "mismatch at m={}, n={}, t={}, s={}".format(
+                m, *witness)
+    zeros = m_top * n_top * (n_top + 1) // 2 * (s_max + 1)  # t < n <= t_top
+    triples = m_top * (n_top + 1) * (t_top + 1) * (s_max + 1) - zeros
     return True, f"{triples} grid triples agree, {zeros} vanish below the diagonal"
 
 

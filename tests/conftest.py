@@ -58,7 +58,15 @@ def row_steps(monkeypatch):
 
 
 @pytest.fixture
-def second_cache_sizes():
-    """Rows held per key by dowling's second-kind triangle cache."""
-    return lambda: {key: len(rows)
-                    for key, rows in dowling._second_cache.items()}
+def triangle_steps(monkeypatch):
+    """The index n of every Whitney-triangle row dowling forms, in
+    order, for tests that pin how many rows a reader forms."""
+    calls = []
+    step = dowling._next_row
+
+    def counted(prev, coefs):
+        calls.append(len(prev))
+        return step(prev, coefs)
+
+    monkeypatch.setattr(dowling, "_next_row", counted)
+    return calls

@@ -394,16 +394,15 @@ def test_dowling_build_respects_cap(capsys, tmp_path):
     assert not path.exists()
 
 
-def test_dowling_build_refused_before_any_triangle_row(capsys, tmp_path):
+def test_dowling_build_refused_before_any_triangle_row(capsys, tmp_path,
+                                                      triangle_steps):
     path = tmp_path / "never.json"
-    before = {key: len(rows) for key, rows in dowling._second_cache.items()}
     code, _out, err = run_cli(capsys, "dowling", "build", "--n", "1500",
                               "--m", "2", "--out", str(path))
     assert code == 2
     assert "over the cap 5000" in err, err
     assert not path.exists()
-    after = {key: len(rows) for key, rows in dowling._second_cache.items()}
-    assert after == before
+    assert triangle_steps == []
 
 
 def test_dowling_conv(capsys):
@@ -424,14 +423,13 @@ def test_dowling_conv(capsys):
     (["dowling", "table", "--kind", "second", "--m", "2", "--r", "3",
       "--nmax", "501"], 501),
 ], ids=["conv", "table-first", "table-second"])
-def test_triangle_depth_over_cap_exit_two(capsys, second_cache_sizes, argv,
+def test_triangle_depth_over_cap_exit_two(capsys, triangle_steps, argv,
                                           depth):
-    before = second_cache_sizes()
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert err == ("error: need triangle depth <= 500, the cap on cached "
-                   f"Whitney rows (asked for {depth})\n")
-    assert second_cache_sizes() == before
+    assert err == ("error: need triangle depth <= 500, the cap on Whitney "
+                   f"rows (asked for {depth})\n")
+    assert triangle_steps == []
 
 
 def test_dowling_conv_below_diagonal(capsys):
@@ -468,8 +466,7 @@ def test_dowling_numbers_csv(capsys):
 
 
 def test_dowling_numbers_one_pass_and_no_cache(capsys, row_steps,
-                                               second_cache_sizes):
-    before = second_cache_sizes()
+                                               triangle_steps):
     for _ in range(2):
         row_steps.clear()
         code, data, _ = run_json(capsys, "dowling", "numbers", "--m", "3",
@@ -477,7 +474,7 @@ def test_dowling_numbers_one_pass_and_no_cache(capsys, row_steps,
         assert code == 0
         assert len(row_steps) == 40
     assert data["values"] == oracles.r_dowling_numbers(3, 5, 40)
-    assert second_cache_sizes() == before
+    assert triangle_steps == []
 
 
 @pytest.mark.parametrize("argv, name", [

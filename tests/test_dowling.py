@@ -13,7 +13,7 @@ from geomsieve import dowling, generators, verify
 from geomsieve.dowling import (
     build_Qn,
     canonical_tau_index,
-    conv_equals_rwhitney_check,
+    conv_grid_check,
     conv_orthogonality_check,
     conv_series,
     dowling_number,
@@ -241,11 +241,49 @@ def test_conv_series_n0_is_second_kind_series():
 
 def test_conv_equals_shifted_rwhitney():
     for m in (1, 2):
-        for n in range(4):
-            for t in range(n, 7):
-                assert conv_equals_rwhitney_check(m, n, t, 10)
+        assert conv_grid_check(m, 3, 6, 10) == (True, None)
     assert shifted_convolution(1, 1, 1, 2) == \
         whitney_second_table(1, 2, 2).value(2, 0) == 4
+
+
+def test_conv_grid_check_forms_each_triangle_once(triangle_steps):
+    n_max, t_max, s_max = 4, 7, 6
+    assert conv_grid_check(2, n_max, t_max, s_max) == (True, None)
+    # w_2 to n_max, W_{2,1} to n_max + s_max, W_{2,1+2n} to s_max per n
+    assert len(triangle_steps) == \
+        n_max + (n_max + s_max) + (n_max + 1) * s_max
+
+
+def test_conv_grid_check_refuses_a_negative_bound():
+    with pytest.raises(ValueError, match=r"^need n_max, t_max, s_max >= 0$"):
+        conv_grid_check(2, 3, -1, 4)
+
+
+def test_conv_grid_check_finds_an_off_by_one_shifted_entry(monkeypatch):
+    # W_{2,5} is the shifted triangle of n = 2 at m = 2; one entry,
+    # W_{2,5}(3, 1), is off by one, so c_{2,3}(3) disagrees with it
+    rows = dowling._second_rows
+
+    def mutated(m, r, nmax):
+        out = list(rows(m, r, nmax))
+        if (m, r) == (2, 5):
+            out[3] = (out[3][0], out[3][1] + 1) + out[3][2:]
+        return out
+
+    monkeypatch.setattr(dowling, "_second_rows", mutated)
+    assert conv_grid_check(2, 4, 6, 5) == (False, (2, 3, 3))
+    assert verify.check_convolution_grid(fast=True) == \
+        (False, "mismatch at m=2, n=2, t=3, s=3")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 6), st.integers(0, 12),
+       st.integers(0, 10))
+def test_shifted_convolution_matches_series_and_shifted_triangle(m, n, t, s):
+    value = shifted_convolution(m, n, t, s)
+    assert value == conv_series(m, n, t, s)[s]
+    # value(s, k) is 0 for k < 0, which is the vanishing for t < n
+    assert value == whitney_second_table(m, 1 + m * n, s).value(s, t - n)
 
 
 def test_series_arithmetic():
@@ -448,14 +486,13 @@ def test_dowling_stream_validates_before_its_first_value(m, r):
         next(dowling._dowling_numbers(m, r, 3))
 
 
-def test_dowling_numbers_leave_triangle_cache_alone(second_cache_sizes):
-    before = second_cache_sizes()
+def test_dowling_numbers_leave_triangle_cache_alone(triangle_steps):
     assert r_dowling_number(4, 11, 60) == \
         oracles.r_dowling_numbers(4, 11, 60)[60]
     assert dowling_number(5, 45) == oracles.r_dowling_numbers(5, 1, 45)[45]
     assert dowling_sieve_closed_form(3, 4, 2) == \
         oracles.r_dowling_numbers(3, 7, 2)[2]
-    assert second_cache_sizes() == before
+    assert triangle_steps == []
 
 
 def test_sieve_instance_reads_its_numbers_in_one_pass(row_steps):
@@ -493,18 +530,17 @@ def test_r_dowling_number_holds_one_row():
     lambda: whitney_first_table(2, 11),
     lambda: whitney_second_table(3, 2, 11),
     lambda: shifted_convolution(2, 3, 5, 8),
-    lambda: conv_equals_rwhitney_check(2, 1, 3, 11),
+    lambda: conv_grid_check(2, 1, 3, 10),
 ], ids=["first_table", "second_table", "shifted_convolution",
-        "conv_equals_rwhitney_check"])
-def test_triangles_refuse_depth_over_cap_before_any_row(monkeypatch, call):
+        "conv_grid_check"])
+def test_triangles_refuse_depth_over_cap_before_any_row(monkeypatch, call,
+                                                        triangle_steps):
     monkeypatch.setattr(dowling, "_TRIANGLE_N_CAP", 10)
-    monkeypatch.setattr(dowling, "_first_cache", {})
-    monkeypatch.setattr(dowling, "_second_cache", {})
     with pytest.raises(TooLarge, match=r"^need triangle depth <= 10, the "
-                                       r"cap on cached Whitney rows \(asked "
-                                       r"for 1[01]\)$"):
+                                       r"cap on Whitney rows \(asked for "
+                                       r"1[01]\)$"):
         call()
-    assert dowling._first_cache == {} and dowling._second_cache == {}
+    assert triangle_steps == []
     assert whitney_second_table(3, 2, 10).n_max == 10
     assert shifted_convolution(2, 3, 5, 7) == \
         whitney_second_table(2, 7, 7).value(7, 2)
