@@ -207,14 +207,17 @@ def cmd_dowling_build(args):
 
 
 def cmd_dowling_conv(args):
+    from collections import deque
+
     from . import dowling
 
     value = dowling.shifted_convolution(args.m, args.n, args.t, args.s)
     via_series = dowling.conv_series(args.m, args.n, args.t, args.s)[args.s]
-    if args.t >= args.n:
-        via_table = dowling.whitney_second_table(
-            args.m, 1 + args.m * args.n, args.s).value(args.s,
-                                                       args.t - args.n)
+    if 0 <= args.t - args.n <= args.s:
+        # W_{m,1+mn}(s, t - n), from the last row of that triangle
+        last = deque(dowling._second_rows(args.m, 1 + args.m * args.n,
+                                          args.s), maxlen=1).pop()
+        via_table = last[args.t - args.n]
     else:
         via_table = 0
     out = {

@@ -23,7 +23,9 @@ row.  The Dowling numbers D_{m,r}(n) are the row sums, but
 _dowling_numbers streams them from the shift recurrence
 D_{m,r}(i+1) = r D_{m,r}(i) + D_{m,r+m}(i), which follows from the
 exponential generating function exp(rx + (e^{mx} - 1)/m): it holds one
-anti-diagonal of those values and forms no triangle row.
+anti-diagonal of those values and forms no triangle row.  _diagonals
+yields the anti-diagonals themselves, whose last two entries are
+D_{m,r+m}(k-1) and D_{m,r}(k).
 """
 
 import io
@@ -358,20 +360,29 @@ def _check_numbers_n(n, name="n"):
                        "exact Dowling numbers")
 
 
-def _dowling_numbers(m, r, n):
-    """D_{m,r}(0), ..., D_{m,r}(n), one anti-diagonal step per value.
+def _diagonals(m, r, n):
+    """Anti-diagonals 0..n of the shift recurrence, one step each.
 
-    After step k the stream holds diag[i] = D_{m, r+(k-i)m}(i) for
-    i = 0..k, whose last entry is D_{m,r}(k).  It sizes nothing by n,
-    so a reader that stops early pays only for the values it read.
+    Diagonal k holds diag[i] = D_{m, r+(k-i)m}(i) for i = 0..k: its
+    last entry is D_{m,r}(k), and for k >= 1 the one before it is
+    D_{m,r+m}(k-1), so one stream serves both ladders.  It sizes
+    nothing by n, so a reader that stops early pays only for the steps
+    it read.  Each diagonal is a new list; a reader keeps only the
+    entries it needs, since a list of whole diagonals grows as n^2.
     """
     if m < 1 or r < 0:
         raise ValueError("need m >= 1 and r >= 0")
     diag = [1]
-    yield 1
+    yield diag
     for _ in range(n):
         diag = _next_diagonal(m, r, diag)
-        yield diag[-1]
+        yield diag
+
+
+def _dowling_numbers(m, r, n):
+    """D_{m,r}(0), ..., D_{m,r}(n): the last entries of the diagonals;
+    m and r are checked before the first value."""
+    return map(itemgetter(-1), _diagonals(m, r, n))
 
 
 def _next_diagonal(m, r, diag):

@@ -13,13 +13,16 @@ The bounds come from one walk of down(tau) that sums mu(bottom, y) #A_y
 by rank y.  At cutoff c the upper bound is the prefix sum up to rank
 2c and the lower bound the one up to rank 2c + 1: brun_bounds walks only
 as far as rank 2c + 1, and brun_profile walks once for every cutoff.
+A is read once per walk into (position, multiplicity) pairs of its
+distinct elements, and each #A_y is then one bit test per pair against
+the up-set mask of y.
 
 All arithmetic is exact (ints and Fractions).
 """
 
 import re
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate
 
@@ -121,11 +124,25 @@ def sifted_count_exact(inst):
 
 
 def count_above(inst, y):
-    """#{a in A : y <= a}; y must lie below tau."""
+    """#{a in A : y <= a}, counted with multiplicity; y must lie below
+    tau.  The same count as each term of the bounds' walk."""
     lat = inst.lattice
     if not lat.leq(y, inst.tau):
         raise NotComparable(f"{y} is not below tau={inst.tau}")
-    return sum(1 for a in inst.A if lat.leq(y, a))
+    return _count_up(lat, y, _position_counts(inst))
+
+
+def _position_counts(inst):
+    """A as (position, multiplicity) pairs, one per distinct element."""
+    pos_of = inst.lattice._pos_of
+    return [(pos_of[a], k) for a, k in Counter(inst.A).items()]
+
+
+def _count_up(lat, y, pairs):
+    """#A_y from A's (position, multiplicity) pairs: the multiplicities
+    whose position is set in the up-set mask of y."""
+    up = lat._up[lat._pos_of[y]]
+    return sum(k for p, k in pairs if up >> p & 1)
 
 
 def _interval_whitney(inst):
@@ -158,16 +175,20 @@ def sieve_error_bound(inst):
 def _rank_sums(inst, top):
     """S_k = sum of mu(bottom, y) * #A_y over the y <= tau of rank k,
     for k = 0..min(top, rank tau): one walk of down(tau), which ascends
-    by rank, stopped at the first y of rank > top."""
+    by rank, stopped at the first y of rank > top.  A is read into its
+    (position, multiplicity) pairs once, and each #A_y costs one bit
+    test per distinct element of A; every y is below tau by
+    construction, so no order test is made."""
     lat = inst.lattice
     mu = lat.mobius_table(lat.bottom)
     rank = lat.rank
+    pairs = _position_counts(inst)
     sums = [0] * (min(top, rank[inst.tau]) + 1)
     for y in lat.down_set(inst.tau):
         r = rank[y]
         if r > top:
             break
-        sums[r] += mu[y] * count_above(inst, y)
+        sums[r] += mu[y] * _count_up(lat, y, pairs)
     return sums
 
 

@@ -143,11 +143,17 @@ def naive_brun_bounds(n, rel, mu, A, tau, cutoff):
     rank = naive_ranks(n, rel)
 
     def truncated(max_rank):
-        return sum(mu[bottom, y] * sum(1 for a in A if (y, a) in rel)
+        return sum(mu[bottom, y] * naive_count_above(rel, A, y)
                    for y in range(n)
                    if (y, tau) in rel and rank[y] <= max_rank)
 
     return truncated(2 * cutoff + 1), truncated(2 * cutoff)
+
+
+def naive_count_above(rel, A, y):
+    """#{a in A : y <= a}, one order test per element of the multiset
+    A; rel is leq_matrix's relation."""
+    return sum(1 for a in A if (y, a) in rel)
 
 
 def bell_numbers(n_max):

@@ -5,7 +5,7 @@ import math
 import mpmath as mp
 import pytest
 
-from geomsieve import verify
+from geomsieve import dowling, verify
 from geomsieve.asym import compare_exact, saddle_values, solve_delta
 from geomsieve.dowling import r_dowling_number
 from geomsieve.errors import NoConvergence, TooLarge
@@ -187,9 +187,28 @@ def test_saddle_check_matches_per_n_comparisons(fast):
 
 
 def test_saddle_check_reads_one_pass_per_ladder(row_steps):
+    # one stream per m, one step past max(ns), serves both (m, 1) and
+    # (m, 1 + m)
     assert verify.check_saddle(fast=True)[0]
-    assert row_steps == [(1, 1)] * 200 + [(2, 1)] * 200 + [(1, 2)] * 200 \
-        + [(2, 3)] * 200
+    assert row_steps == [(1, 1)] * 201 + [(2, 1)] * 201
+
+
+def test_saddle_check_fails_on_a_ladder_read_one_diagonal_early(monkeypatch):
+    # hand the check, at step k, the entry D_{m,1+m}(k-2) of diagonal
+    # k - 1 where D_{m,1+m}(k-1) belongs: the (1, 2) ladder then lags
+    # one n behind its saddle values
+    stream = dowling._diagonals
+
+    def early(m, r, n):
+        prev = None
+        for diag in stream(m, r, n):
+            yield diag if prev is None else prev[:-1] + diag[-1:]
+            prev = diag
+
+    monkeypatch.setattr(dowling, "_diagonals", early)
+    ok, detail = verify.check_saddle(fast=True)
+    assert ok is False
+    assert detail.startswith("(m,r)=(1,2): errors not decreasing"), detail
 
 
 def test_digits_parameter_controls_precision():

@@ -432,6 +432,29 @@ def test_triangle_depth_over_cap_exit_two(capsys, triangle_steps, argv,
     assert triangle_steps == []
 
 
+@pytest.mark.parametrize("m, n, t, s", [
+    (1, 1, 1, 2), (2, 3, 5, 4), (3, 2, 6, 4), (2, 3, 1, 4), (2, 1, 9, 3),
+    (1, 0, 0, 0),
+], ids=["m1", "m2", "m3", "t-below-n", "t-n-over-s", "zero"])
+def test_dowling_conv_reads_one_shifted_row(capsys, monkeypatch, m, n, t, s):
+    # the shifted-triangle value is the entry (s, t - n) of
+    # W_{m,1+mn} (0 for t < n and for t - n > s), read from its last
+    # row without forming the whole table
+    table = dowling.whitney_second_table(m, 1 + m * n, s)
+    expected = table.value(s, t - n) if t >= n else 0
+
+    def refuse(*args):
+        raise AssertionError("whitney_second_table called")
+
+    monkeypatch.setattr(dowling, "whitney_second_table", refuse)
+    code, data, _ = run_json(capsys, "dowling", "conv", "--m", str(m),
+                             "--n", str(n), "--t", str(t), "--s", str(s))
+    assert code == 0
+    assert data["via_shifted_triangle"] == expected
+    assert data["value"] == data["via_series"] == expected
+    assert data["agree"] is True
+
+
 def test_dowling_conv_below_diagonal(capsys):
     code, data, _ = run_json(capsys, "dowling", "conv", "--m", "2",
                              "--n", "3", "--t", "1", "--s", "4")

@@ -265,6 +265,42 @@ def test_brun_profile_matches_every_cutoff(data):
                                       inst.tau, cutoff)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_count_above_on_repeated_elements(data):
+    # A has at most 3 distinct elements, each up to 50 times, one of
+    # them above none of the atoms of T (so it is sifted out by none)
+    name = data.draw(st.sampled_from(SMALL_ZOO), label="lattice")
+    lat = generators.parse_named(name)
+    T = data.draw(st.lists(st.sampled_from(lat.atoms()), unique=True),
+                  label="T")
+    free = [a for a in range(lat.n_elems)
+            if not any(lat.leq(t, a) for t in T)]
+    distinct = data.draw(st.lists(st.integers(0, lat.n_elems - 1),
+                                  max_size=2), label="others")
+    distinct = list(dict.fromkeys(
+        [data.draw(st.sampled_from(free), label="free")] + distinct))
+    A = [a for a in distinct
+         for _ in range(data.draw(st.integers(1, 50), label="times"))]
+    A = data.draw(st.permutations(A), label="order")
+    inst = SieveInstance(lattice=lat, A=A, T=T,
+                         f=[Fraction(0)] * (lat.top_rank + 1),
+                         X=Fraction(1))
+    rel, mu = naive_order(name)
+    for y in range(lat.n_elems):
+        if (y, inst.tau) in rel:
+            assert count_above(inst, y) == \
+                oracles.naive_count_above(rel, A, y)
+        else:
+            with pytest.raises(NotComparable):
+                count_above(inst, y)
+    profile = brun_profile(inst)
+    for cutoff in range(lat.rank[inst.tau] + 2):
+        assert profile[min(cutoff, len(profile) - 1)] == \
+            oracles.naive_brun_bounds(lat.n_elems, rel, mu, A, inst.tau,
+                                      cutoff)
+
+
 def partition5_instance():
     lat = generators.parse_named("partition:5")
     return SieveInstance(lattice=lat, A=range(0, lat.n_elems, 2),
@@ -278,28 +314,39 @@ def partition5_instance():
 ], ids=["dowling:3:2", "boolean:3", "partition:5"])
 def test_bounds_count_each_y_once(make, monkeypatch):
     # brun_bounds(inst, c) pays for the y <= tau of rank <= 2c + 1 and
-    # no more, and brun_profile for each y <= tau once.
+    # no more, and brun_profile for each y <= tau once; each walk reads
+    # A into its (position, multiplicity) pairs once.
     inst = make()
     lat = inst.lattice
     calls = Counter()
-    counted = sieve.count_above
+    reads = []
+    counted, read = sieve._count_up, sieve._position_counts
 
-    def counting(inst, y):
+    def counting(lat, y, pairs):
         calls[y] += 1
-        return counted(inst, y)
+        return counted(lat, y, pairs)
 
-    monkeypatch.setattr(sieve, "count_above", counting)
+    def reading(inst):
+        reads.append(inst)
+        return read(inst)
+
+    monkeypatch.setattr(sieve, "_count_up", counting)
+    monkeypatch.setattr(sieve, "_position_counts", reading)
     below = lat.down_set(inst.tau)
     r_tau = lat.rank[inst.tau]
     assert r_tau >= 3
     for cutoff in range(r_tau + 1):
         calls.clear()
+        reads.clear()
         brun_bounds(inst, cutoff)
         assert calls == Counter(y for y in below
                                 if lat.rank[y] <= 2 * cutoff + 1)
+        assert reads == [inst]
     calls.clear()
+    reads.clear()
     brun_profile(inst)
     assert calls == Counter(below)
+    assert reads == [inst]
 
 
 def test_brun_check_fails_on_a_raised_lower_bound(monkeypatch):
