@@ -10,7 +10,9 @@ g0 = r delta + (e^{m delta} - 1)/m and g2 = (n + m delta^2 e^{m delta})/2.
 Everything is evaluated in log space with mpmath working precision,
 so n can be large.  compare_exact() measures the approximation against
 the exact D_{m,r}(n), streamed by dowling's shift recurrence, and
-refuses n > 2000 with TooLarge.  mpmath is imported by the
+refuses n > 2000 with TooLarge.  Every entry point refuses more than
+1000 digits with TooLarge before any mpmath work, since the cost grows
+faster than linearly in the digits.  mpmath is imported by the
 functions that evaluate, so loading this module (as the CLI does)
 does not load it.
 """
@@ -19,7 +21,7 @@ import math
 from collections import namedtuple
 
 from .dowling import r_dowling_number
-from .errors import NoConvergence
+from .errors import NoConvergence, TooLarge
 
 __all__ = [
     "solve_delta",
@@ -30,6 +32,7 @@ __all__ = [
 ]
 
 _EXACT_FACTORIAL_MAX = 10_000
+_DIGITS_CAP = 1000
 
 
 def _validate(m, r, n, digits):
@@ -37,6 +40,9 @@ def _validate(m, r, n, digits):
         raise TypeError("m, r, n must be ints")
     if m < 1 or r < 1 or n < 1 or digits < 1:
         raise ValueError("need m >= 1, r >= 1, n >= 1, digits >= 1")
+    if digits > _DIGITS_CAP:
+        raise TooLarge(f"need digits <= {_DIGITS_CAP}, the cap on "
+                       "working precision")
 
 
 def solve_delta(m, r, n, *, digits=50, max_iter=200):
@@ -46,9 +52,9 @@ def solve_delta(m, r, n, *, digits=50, max_iter=200):
     tolerance 1e-30, or 256 ulps where the precision is too low for
     that; exceeding the iteration budget raises NoConvergence.
     """
+    _validate(m, r, n, digits)
     import mpmath as mp
 
-    _validate(m, r, n, digits)
     with mp.workdps(digits + 15):
         nn = mp.mpf(n)
 
@@ -106,9 +112,9 @@ def saddle_values(m, r, n, *, digits=50):
     log n! is exact (big-integer factorial) up to n = 10^4 and
     loggamma beyond.
     """
+    _validate(m, r, n, digits)
     import mpmath as mp
 
-    _validate(m, r, n, digits)
     delta = solve_delta(m, r, n, digits=digits)
     with mp.workdps(digits + 15):
         e = mp.exp(m * delta)

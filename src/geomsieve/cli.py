@@ -249,21 +249,20 @@ def cmd_dowling_numbers(args):
 
 
 def cmd_asym_dowling(args):
-    import mpmath as mp
-
     from .asym import compare_exact, saddle_values
 
     digits = args.digits
-
-    def fmt(x):
-        return mp.nstr(x, digits)
-
     if args.compare_exact:
         cmp_ = compare_exact(args.m, args.r, args.n, digits=digits)
         data = cmp_.saddle
     else:
         cmp_ = None
         data = saddle_values(args.m, args.r, args.n, digits=digits)
+    import mpmath as mp  # loaded by the computation, once it is admitted
+
+    def fmt(x):
+        return mp.nstr(x, digits)
+
     out = {
         "m": args.m, "r": args.r, "n": args.n, "digits": digits,
         "delta": fmt(data.delta),

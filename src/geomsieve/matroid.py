@@ -1,10 +1,9 @@
 """Matroids via rank functions, closure, flats, characteristic polynomial.
 
-Two backends share one interface.  An explicit matroid stores its
-family of independent sets (validated against the independence axioms
-at construction); rank is computed greedily, which the exchange axiom
-makes correct.  Oracle matroids (uniform, graphic, simplifications)
-supply rank directly.
+A matroid is its rank function on bitmasks of the ground set: uniform
+and graphic matroids compute rank directly, and a caller may pass any
+rank function to Matroid().  Independence, closure and flats are all
+read from rank.
 
 Subsets are passed as any iterable of ground-element indices and
 returned as frozensets.
@@ -21,9 +20,6 @@ __all__ = [
     "flats_lattice",
     "char_poly",
     "mobius_via_closure",
-    "simplify",
-    "matroid_to_json",
-    "matroid_from_json",
 ]
 
 # Largest n for which a 2^n subset walk is run by default.
@@ -38,14 +34,13 @@ class Matroid:
     of either share the first sweep's result.
     """
 
-    def __init__(self, n, rank_fn, kind, meta=None, indep_masks=None):
+    def __init__(self, n, rank_fn, kind, meta=None):
         if n < 0:
             raise MatroidError("ground set size must be >= 0")
         self.ground_size = n
         self._rank_fn = rank_fn
         self.kind = kind
         self.meta = meta or {}
-        self._indep_masks = indep_masks
 
     def __repr__(self):
         return f"<Matroid {self.kind} n={self.ground_size}>"
@@ -59,7 +54,7 @@ class Matroid:
             raise MatroidError("need 0 <= k <= n")
 
         def rank(mask):
-            return min(_popcount(mask), k)
+            return min(mask.bit_count(), k)
 
         return cls(n, rank, "uniform", {"k": k, "n": n})
 
@@ -97,58 +92,6 @@ class Matroid:
         edges = list(combinations(range(n_vertices), 2))
         return cls.graphic(n_vertices, edges)
 
-    @classmethod
-    def from_independents(cls, n, independents):
-        """Explicit matroid from its list of independent sets.
-
-        Validates all three axioms: the empty set is independent, the
-        family is closed under subsets, and the exchange property holds.
-        """
-        masks = set()
-        for s in independents:
-            mask = _to_mask(s, n)
-            masks.add(mask)
-        if 0 not in masks:
-            raise MatroidError("the empty set must be independent")
-        for mask in masks:
-            m = mask
-            while m:
-                low = m & -m
-                if mask ^ low not in masks:
-                    raise MatroidError(
-                        f"family not subset-closed at {_to_set(mask)}")
-                m ^= low
-        # exchange: |A| < |B| implies some e in B-A with A+e independent
-        for a in masks:
-            pa = _popcount(a)
-            for b in masks:
-                if pa < _popcount(b):
-                    ok = False
-                    extra = b & ~a
-                    while extra:
-                        low = extra & -extra
-                        if a | low in masks:
-                            ok = True
-                            break
-                        extra ^= low
-                    if not ok:
-                        raise MatroidError(
-                            f"exchange fails for {_to_set(a)} and "
-                            f"{_to_set(b)}")
-
-        def rank(mask):
-            # greedy; correct because the family satisfies exchange
-            cur = 0
-            m = mask
-            while m:
-                low = m & -m
-                if cur | low in masks:
-                    cur |= low
-                m ^= low
-            return _popcount(cur)
-
-        return cls(n, rank, "explicit", indep_masks=frozenset(masks))
-
     # -- rank and closure -------------------------------------------------
 
     def rank_of(self, subset):
@@ -160,9 +103,7 @@ class Matroid:
 
     def is_independent(self, subset):
         mask = _to_mask(subset, self.ground_size)
-        if self._indep_masks is not None:
-            return mask in self._indep_masks
-        return self._rank_fn(mask) == _popcount(mask)
+        return self._rank_fn(mask) == mask.bit_count()
 
     def closure(self, subset):
         """All elements whose addition does not raise the rank."""
@@ -264,7 +205,7 @@ def char_poly(matroid):
     w = [0] * (r + 1)
     rank_fn = matroid._rank_fn
     for mask in range(1 << n):
-        w[rank_fn(mask)] += -1 if _popcount(mask) & 1 else 1
+        w[rank_fn(mask)] += -1 if mask.bit_count() & 1 else 1
     return tuple(w)
 
 
@@ -279,7 +220,7 @@ def mobius_via_closure(matroid, flat):
     20, char_poly's cap, before any subset is visited.
     """
     mask = _to_mask(flat, matroid.ground_size)
-    _refuse_subsets(_popcount(mask))
+    _refuse_subsets(mask.bit_count())
     if matroid._closure_mask(mask) != mask:
         raise NotAFlat(f"{sorted(_to_set(mask))} is not closed")
     rank_fn = matroid._rank_fn
@@ -288,81 +229,13 @@ def mobius_via_closure(matroid, flat):
     sub = mask
     while True:  # every submask of mask, down to 0
         if rank_fn(sub) == r:
-            total += -1 if _popcount(sub) & 1 else 1
+            total += -1 if sub.bit_count() & 1 else 1
         if not sub:
             return total
         sub = (sub - 1) & mask
 
 
-def simplify(matroid):
-    """Delete loops and collapse parallel classes to representatives.
-
-    Returns (simple_matroid, mapping) where mapping[e] is the new index
-    of ground element e, or None when e is a loop.
-    """
-    n = matroid.ground_size
-    reps = []
-    rep_of_class = {}
-    mapping = [None] * n
-    for e in range(n):
-        if matroid._rank_fn(1 << e) == 0:
-            continue
-        cls_key = matroid._closure_mask(1 << e)
-        if cls_key not in rep_of_class:
-            rep_of_class[cls_key] = len(reps)
-            reps.append(e)
-        mapping[e] = rep_of_class[cls_key]
-
-    rep_masks = reps
-
-    def rank(mask):
-        big = 0
-        for i, e in enumerate(rep_masks):
-            if mask >> i & 1:
-                big |= 1 << e
-        return matroid._rank_fn(big)
-
-    simple = Matroid(len(reps), rank, "simplified",
-                     {"of": matroid.kind, "representatives": list(reps)})
-    return simple, mapping
-
-
-# -- JSON ----------------------------------------------------------------
-
-def matroid_to_json(matroid):
-    if matroid.kind == "uniform":
-        return {"type": "uniform", "k": matroid.meta["k"],
-                "n": matroid.meta["n"]}
-    if matroid.kind == "graphic":
-        return {"type": "graphic", "vertices": matroid.meta["vertices"],
-                "edges": [list(e) for e in matroid.meta["edges"]]}
-    if matroid.kind == "explicit":
-        return {"type": "explicit", "n": matroid.ground_size,
-                "independents": [sorted(_to_set(m))
-                                 for m in sorted(matroid._indep_masks)]}
-    raise MatroidError(f"cannot serialize a {matroid.kind} matroid")
-
-
-def matroid_from_json(data):
-    if not isinstance(data, dict) or "type" not in data:
-        raise ValueError('matroid JSON needs a "type"')
-    t = data["type"]
-    if t == "uniform":
-        return Matroid.uniform(int(data["k"]), int(data["n"]))
-    if t == "graphic":
-        return Matroid.graphic(int(data["vertices"]),
-                               [tuple(e) for e in data["edges"]])
-    if t == "explicit":
-        return Matroid.from_independents(int(data["n"]),
-                                         data["independents"])
-    raise ValueError(f"unknown matroid type {t!r}")
-
-
 # -- small helpers ---------------------------------------------------------
-
-def _popcount(mask):
-    return mask.bit_count()
-
 
 def _to_mask(subset, n):
     if isinstance(subset, int):

@@ -50,7 +50,6 @@ their tables are summed almost entirely by masks.
 
 import contextlib
 import sys
-import threading
 from collections import Counter, namedtuple
 from math import isqrt
 
@@ -106,7 +105,6 @@ class FiniteLattice:
         self._lone = sum(1 << pos_of[v] for v in range(n)
                          if rank[v] >= 2 and lower[v] == 1)
         self._mobius_cache = {}
-        self._lock = threading.Lock()
 
     # -- basic queries ------------------------------------------------
 
@@ -129,10 +127,8 @@ class FiniteLattice:
         return [self._idx_of[p] for p in _bits(self._down[self._pos_of[x]])]
 
     def up_set(self, x):
+        """Indices of all y >= x, in increasing rank order."""
         return [self._idx_of[p] for p in _bits(self._up[self._pos_of[x]])]
-
-    def elements_of_rank(self, i):
-        return [x for x in range(self.n_elems) if self.rank[x] == i]
 
     # -- lattice operations --------------------------------------------
 
@@ -183,11 +179,13 @@ class FiniteLattice:
 
     def mobius_table(self, x):
         """Tuple of mu(x, y) indexed by element y, as exact integers;
-        zero where y is not above x.  Memoized per base."""
-        with self._lock:
-            if x not in self._mobius_cache:
-                self._mobius_cache[x] = self._compute_mobius(x)
-            return self._mobius_cache[x]
+        zero where y is not above x.  Memoized per base; the memo holds
+        immutable tuples, so two threads racing on one base only repeat
+        the work."""
+        table = self._mobius_cache.get(x)
+        if table is None:
+            table = self._mobius_cache[x] = self._compute_mobius(x)
+        return table
 
     def mobius(self, x, y):
         return self.mobius_table(x)[y]
@@ -230,17 +228,6 @@ class FiniteLattice:
         for y in range(self.n_elems):
             w[self.rank[y]] += 1
         return tuple(w)
-
-    def partial_mobius_sum(self, k):
-        """Sum of mu(bottom, y) over all y of rank <= k.
-
-        Defined for every k >= 0; past the top rank the sum is constant
-        (zero whenever the lattice has rank >= 1).
-        """
-        if k < 0:
-            raise ValueError("cutoff must be >= 0")
-        w = self.whitney_first()
-        return sum(w[: k + 1])
 
 
 def _bits(mask):

@@ -4,11 +4,18 @@ Everything here is deliberately naive and written against the
 definitions, with different algorithms than the package (matrix-style
 Mobius inversion instead of per-base recursion, quadratic bound scans
 instead of bitmask tricks), so agreement is meaningful.
+
+It also holds test-only constructions the package does not ship: the
+explicit matroid of a family of independent sets (from_independents)
+and simplification (simplify), which build loopy, parallel and
+simplified matroids for the matroid tests.
 """
 
 from itertools import combinations
 from math import comb
 
+from geomsieve.errors import MatroidError
+from geomsieve.matroid import Matroid
 from geomsieve.poset import build_lattice
 
 
@@ -232,6 +239,91 @@ def naive_flat_covers(mat, flats):
     return sorted((i, j) for i, fi in enumerate(flats)
                   for j, fj in enumerate(flats)
                   if ranks[j] == ranks[i] + 1 and fi < fj)
+
+
+def _subset_mask(subset, n):
+    mask = 0
+    for e in subset:
+        if not 0 <= e < n:
+            raise MatroidError(f"element {e} outside ground set 0..{n - 1}")
+        mask |= 1 << e
+    return mask
+
+
+def _elements(mask):
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def from_independents(n, independents):
+    """Explicit matroid on {0..n-1} from its list of independent sets.
+
+    Validates all three axioms, raising MatroidError: the empty set is
+    independent, the family is closed under subsets, and the exchange
+    property holds.  Rank is then computed greedily, which exchange
+    makes correct.
+    """
+    masks = {_subset_mask(s, n) for s in independents}
+    if 0 not in masks:
+        raise MatroidError("the empty set must be independent")
+    for mask in masks:
+        m = mask
+        while m:
+            low = m & -m
+            if mask ^ low not in masks:
+                raise MatroidError(
+                    f"family not subset-closed at {_elements(mask)}")
+            m ^= low
+    # exchange: |A| < |B| implies some e in B-A with A+e independent
+    for a in masks:
+        for b in masks:
+            if a.bit_count() < b.bit_count():
+                extra = b & ~a
+                while extra:
+                    low = extra & -extra
+                    if a | low in masks:
+                        break
+                    extra ^= low
+                else:
+                    raise MatroidError(f"exchange fails for {_elements(a)} "
+                                       f"and {_elements(b)}")
+
+    def rank(mask):
+        cur = 0
+        m = mask
+        while m:
+            low = m & -m
+            if cur | low in masks:
+                cur |= low
+            m ^= low
+        return cur.bit_count()
+
+    return Matroid(n, rank, "explicit")
+
+
+def simplify(mat):
+    """Delete loops and collapse parallel classes to representatives.
+
+    Returns (simple_matroid, mapping) where mapping[e] is the new index
+    of ground element e, or None when e is a loop.
+    """
+    reps = []
+    rep_of_class = {}
+    mapping = [None] * mat.ground_size
+    for e in range(mat.ground_size):
+        if mat.rank_of([e]) == 0:
+            continue
+        key = mat.closure([e])
+        if key not in rep_of_class:
+            rep_of_class[key] = len(reps)
+            reps.append(e)
+        mapping[e] = rep_of_class[key]
+
+    def rank(mask):
+        return mat.rank_of([e for i, e in enumerate(reps) if mask >> i & 1])
+
+    simple = Matroid(len(reps), rank, "simplified",
+                     {"of": mat.kind, "representatives": list(reps)})
+    return simple, mapping
 
 
 def naive_sifted_count(lat, A, tau):

@@ -126,6 +126,11 @@ def test_submodule_imports_load_only_what_they_need(tmp_path):
         assert {"geomsieve.asym", "mpmath"} <= loaded
         assert sorted({"dataclasses", "inspect"} & loaded) == [], argv
 
+    # a refused precision is refused before mpmath is loaded
+    loaded = _cli_loaded(["asym", "dowling", "--m", "1", "--r", "1",
+                          "--n", "50", "--digits", "1001"], 2)
+    assert "geomsieve.asym" in loaded and "mpmath" not in loaded
+
 
 def test_scopes_partition_the_checks():
     named = [name for scope, names in scopes.SCOPES.items()
@@ -175,8 +180,9 @@ def test_record_types_are_frozen_values():
             record.extra = None
     assert bool(chk) is False and bool(poset.GeometricCheck(True)) is True
 
-    # A sieve instance holds its lattice, which is compared by identity
-    # (and holds a lock, so the instance is not pickled).
+    # A sieve instance holds its lattice, which is compared by identity.
+    # It pickles: the copy holds a lattice of its own with the same
+    # covers and ranks, and the same fields.
     lat = generators.parse_named("boolean:2")
     inst = sieve.SieveInstance(lattice=lat, A=[0, 3], T=[1], f=[0, 0, 1],
                                X=2)
@@ -195,6 +201,12 @@ def test_record_types_are_frozen_values():
     with pytest.raises(AttributeError):
         inst.extra = None
     assert inst == same
+    copy = pickle.loads(pickle.dumps(inst))
+    assert copy.lattice is not lat
+    assert (copy.tau, copy.A, copy.T, copy.f, copy.X) == \
+        (inst.tau, inst.A, inst.T, inst.f, inst.X)
+    assert copy.lattice.covers == lat.covers
+    assert copy.lattice.rank == lat.rank
 
     # Mobius tables and characteristic polynomials are plain tuples.
     lat = generators.parse_named("boolean:3")

@@ -93,6 +93,25 @@ def test_validation_rejects_bad_arguments():
             fn(1, 1, 10, digits=0)
 
 
+def test_digits_over_cap_refused_before_any_mpmath_work(monkeypatch):
+    contexts = []
+    workdps = mp.workdps
+
+    def counted(dps):
+        contexts.append(dps)
+        return workdps(dps)
+
+    monkeypatch.setattr(mp, "workdps", counted)
+    message = "^need digits <= 1000, the cap on working precision$"
+    for fn in (solve_delta, saddle_values, compare_exact):
+        with pytest.raises(TooLarge, match=message):
+            fn(1, 1, 50, digits=1001)
+    assert contexts == []
+    # the cap itself is a valid request
+    assert solve_delta(1, 1, 50, digits=1000) > 0
+    assert contexts
+
+
 def test_saddle_values_formulas():
     for m, r, n in [(1, 1, 50), (2, 3, 100), (3, 2, 400)]:
         data = saddle_values(m, r, n)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomsieve import generators
+from geomsieve import generators, poset, verify
 from geomsieve.brun import (
     BrunReport,
     alternating_partial_sums_check,
@@ -136,3 +136,22 @@ def test_exception_hierarchy():
     assert issubclass(BrunViolation, AssertionError)
     assert issubclass(HypothesisViolated, ValueError)
     assert issubclass(NegativeEntry, ValueError)
+
+
+def test_verify_check_catches_a_wrong_mobius_value(monkeypatch):
+    # mu(bottom, y) off by one at the first element of rank 4; the zoo
+    # starts with boolean:1..8, so boolean:4 is the first lattice hit
+    right = poset.FiniteLattice.mobius_table
+
+    def off_by_one(lat, x):
+        table = right(lat, x)
+        if x != lat.bottom or lat.top_rank < 4:
+            return table
+        y = lat.rank.index(4)
+        return table[:y] + (table[y] + 1,) + table[y + 1:]
+
+    monkeypatch.setattr(poset.FiniteLattice, "mobius_table", off_by_one)
+    ok, detail = verify.check_brun_zoo(fast=True)
+    assert ok is False
+    assert detail == ("boolean:4: Mobius sums over the whole lattice "
+                      "must vanish")

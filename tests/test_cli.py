@@ -588,6 +588,13 @@ def test_asym_dowling_low_digits(capsys):
     assert err == "error: need m >= 1, r >= 1, n >= 1, digits >= 1\n"
 
 
+def test_asym_dowling_digits_over_cap_exit_two(capsys):
+    code, out, err = run_cli(capsys, "asym", "dowling", "--m", "1",
+                             "--r", "1", "--n", "50", "--digits", "1001")
+    assert code == 2 and out == ""
+    assert err == "error: need digits <= 1000, the cap on working precision\n"
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main([])

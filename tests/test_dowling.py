@@ -510,6 +510,22 @@ def test_classical_oracles_check_reads_one_pass(row_steps):
     assert row_steps == [(1, 1)] * 30
 
 
+def test_verify_check_catches_a_wrong_dowling_number(monkeypatch):
+    # D_1(11), the last entry of anti-diagonal 11, off by one
+    step = dowling._next_diagonal
+
+    def off_by_one(m, r, diag):
+        new = step(m, r, diag)
+        if m == 1 and len(new) == 12:
+            new[-1] += 1
+        return new
+
+    monkeypatch.setattr(dowling, "_next_diagonal", off_by_one)
+    ok, detail = verify.check_classical_oracles(fast=True)
+    assert ok is False
+    assert detail == "D_1(11) != Bell(12)"
+
+
 def test_r_dowling_number_holds_one_row():
     # the stream holds one anti-diagonal, about 1.2 MB at its peak; rows
     # 0..1000 of the cached triangle peaked at about 213 MB

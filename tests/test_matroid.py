@@ -10,10 +10,7 @@ from geomsieve.matroid import (
     Matroid,
     char_poly,
     flats_lattice,
-    matroid_from_json,
-    matroid_to_json,
     mobius_via_closure,
-    simplify,
 )
 
 import oracles
@@ -99,7 +96,7 @@ def test_rank_monotone_submodular(data):
 
 def test_from_independents_round_trip():
     # U_{1,2} given explicitly
-    mat = Matroid.from_independents(2, [[], [0], [1]])
+    mat = oracles.from_independents(2, [[], [0], [1]])
     assert mat.full_rank == 1
     assert mat.rank_of([0, 1]) == 1
     assert not mat.is_simple()  # 0 and 1 are parallel
@@ -107,12 +104,12 @@ def test_from_independents_round_trip():
 
 def test_from_independents_rejects_bad_families():
     with pytest.raises(MatroidError, match="empty"):
-        Matroid.from_independents(2, [[0]])
+        oracles.from_independents(2, [[0]])
     with pytest.raises(MatroidError, match="subset"):
-        Matroid.from_independents(2, [[], [0, 1]])
+        oracles.from_independents(2, [[], [0, 1]])
     with pytest.raises(MatroidError, match="exchange"):
         # {0,1} and {2} independent but neither extends {2}
-        Matroid.from_independents(3, [[], [0], [1], [2], [0, 1]])
+        oracles.from_independents(3, [[], [0], [1], [2], [0, 1]])
 
 
 def test_flats_lattice_k4_profile(k4):
@@ -141,7 +138,7 @@ def test_flats_lattice_requires_simple():
 
 # the zoo, plus a simplified multigraph with a loop and a parallel pair
 FLAT_CASES = dict(verify.zoo_matroids())
-FLAT_CASES["simplified:k4-multigraph"] = simplify(Matroid.graphic(
+FLAT_CASES["simplified:k4-multigraph"] = oracles.simplify(Matroid.graphic(
     4, [(0, 1), (0, 1), (1, 2), (2, 3), (0, 3), (1, 3), (2, 2)]))[0]
 
 
@@ -181,7 +178,7 @@ def test_char_poly_examples(k4):
 
 
 def test_char_poly_of_loop_vanishes():
-    loopy = Matroid.from_independents(2, [[], [0]])
+    loopy = oracles.from_independents(2, [[], [0]])
     assert char_poly(loopy) == (0, 0)
 
 
@@ -234,12 +231,12 @@ def small_matroids(draw):
     backend = draw(st.sampled_from(["graphic", "explicit", "simplified"]))
     if backend == "explicit":
         ground = range(mat.ground_size)
-        mat = Matroid.from_independents(mat.ground_size, [
+        mat = oracles.from_independents(mat.ground_size, [
             subset for size in range(mat.ground_size + 1)
             for subset in itertools.combinations(ground, size)
             if mat.is_independent(subset)])
     elif backend == "simplified":
-        mat = simplify(mat)[0]
+        mat = oracles.simplify(mat)[0]
     return mat
 
 
@@ -304,15 +301,15 @@ def test_verify_check_catches_a_wrong_closure_mobius(monkeypatch):
 
 
 def test_simplify_identity_on_simple(u24):
-    simple, mapping = simplify(u24)
+    simple, mapping = oracles.simplify(u24)
     assert simple.ground_size == u24.ground_size
     assert mapping == list(range(4))
 
 
 def test_simplify_drops_loops_and_parallels():
     # ground {0,1,2}: 0 is a loop, 1 and 2 are parallel
-    mat = Matroid.from_independents(3, [[], [1], [2]])
-    simple, mapping = simplify(mat)
+    mat = oracles.from_independents(3, [[], [1], [2]])
+    simple, mapping = oracles.simplify(mat)
     assert simple.ground_size == 1
     assert mapping[0] is None
     assert sorted({v for v in mapping[1:]}) == [0]
@@ -329,25 +326,7 @@ def test_simplify_preserves_flat_profile():
         return min(len(seen), 2)
 
     doubled = Matroid(6, rank, kind="doubled")
-    simple, mapping = simplify(doubled)
+    simple, mapping = oracles.simplify(doubled)
     assert simple.ground_size == 3
     assert flats_lattice(simple).whitney_second() == \
         flats_lattice(base).whitney_second()
-
-
-def test_json_round_trips(u24, k4):
-    for mat in (u24, k4):
-        data = matroid_to_json(mat)
-        back = matroid_from_json(data)
-        assert back.ground_size == mat.ground_size
-        for size in range(mat.ground_size + 1):
-            for subset in itertools.combinations(range(mat.ground_size), size):
-                assert back.rank_of(subset) == mat.rank_of(subset)
-
-
-def test_json_explicit():
-    mat = Matroid.from_independents(2, [[], [0], [1]])
-    back = matroid_from_json(matroid_to_json(mat))
-    assert back.rank_of([0, 1]) == 1
-    with pytest.raises(ValueError):
-        matroid_from_json({"type": "nonsense"})

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import threading
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomsieve import generators
+from geomsieve.brun import verify_brun
 from geomsieve.errors import (
     Cyclic,
     MultipleMaxima,
@@ -111,8 +113,7 @@ def test_one_element_lattice_is_legal():
     assert lat.bottom == lat.top == 0
     assert lat.top_rank == 0
     assert lat.whitney_first() == (1,)
-    for k in range(5):
-        assert lat.partial_mobius_sum(k) == 1
+    assert verify_brun(lat).partial_sums == (1,)
     assert lat.is_geometric().ok
 
 
@@ -208,13 +209,9 @@ def test_whitney_first_sums_to_zero(zoo_lattice):
 
 
 def test_partial_mobius_sum():
+    # sum of mu(bottom, y) over rank y <= k, for k = 0..top rank
     lat = generators.parse_named("boolean:3")
-    assert lat.partial_mobius_sum(0) == 1
-    assert lat.partial_mobius_sum(1) == -2
-    assert lat.partial_mobius_sum(3) == 0
-    assert lat.partial_mobius_sum(17) == 0
-    with pytest.raises(ValueError):
-        lat.partial_mobius_sum(-1)
+    assert verify_brun(lat).partial_sums == (1, -2, 1, 0)
 
 
 def test_rota_sign_law(zoo_lattice):
@@ -298,13 +295,15 @@ def test_down_up_sets(zoo_lattice):
 
 
 def test_elements_of_rank(zoo_lattice):
+    # the rank profile against longest-chain ranks from the relation
     _, lat = zoo_lattice
-    total = 0
-    for i in range(lat.top_rank + 1):
-        elems = lat.elements_of_rank(i)
-        assert all(lat.rank[e] == i for e in elems)
-        total += len(elems)
-    assert total == lat.n_elems
+    n = lat.n_elems
+    rank = oracles.naive_ranks(n, oracles.leq_matrix(n, lat.covers))
+    assert [rank[x] for x in range(n)] == lat.rank
+    counts = [0] * (lat.top_rank + 1)
+    for x in range(n):
+        counts[rank[x]] += 1
+    assert tuple(counts) == lat.whitney_second()
 
 
 def test_json_round_trip():
@@ -327,18 +326,28 @@ def test_json_rejects_garbage():
 
 
 def test_mobius_thread_safety():
-    lat = generators.parse_named("partition:4")
+    # The memo takes no lock: threads racing on a fresh lattice may each
+    # compute a table, and every thread must read the same values.
+    src = generators.parse_named("partition:5")
+    expected = tuple(map(src.mobius_table, range(src.n_elems)))
+    lat = build_lattice(src.n_elems, src.covers)
     results = []
 
     def work():
-        results.append(lat.mobius_table(lat.bottom))
+        results.append(tuple(map(lat.mobius_table, range(lat.n_elems))))
 
     threads = [threading.Thread(target=work) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(set(results)) == 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 8
 
 
 @settings(max_examples=60, deadline=None)
