@@ -20,7 +20,7 @@ does not load it.
 import math
 from collections import namedtuple
 
-from .dowling import r_dowling_number
+from .dowling import _check_numbers_n, r_dowling_number
 from .errors import NoConvergence, TooLarge
 
 __all__ = [
@@ -143,6 +143,8 @@ class AsymComparison(namedtuple(
 
 
 def compare_exact(m, r, n, *, digits=50):
+    _validate(m, r, n, digits)
+    _check_numbers_n(n)  # refuse n over the exact cap before any mpmath
     data = saddle_values(m, r, n, digits=digits)
     return _compare(data, r_dowling_number(m, r, n))
 

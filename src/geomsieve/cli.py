@@ -187,7 +187,10 @@ def cmd_dowling_table(args):
         raise ValueError("the first-kind triangle has no shift; drop --r")
     r = 1 if args.r is None else args.r
     # each row is written as it is formed, so the table is never held
-    rows = dowling._table_rows(args.kind, args.m, r, args.nmax)
+    if args.kind == "first":
+        rows = dowling.whitney_first_rows(args.m, args.nmax)
+    else:
+        rows = dowling.whitney_second_rows(args.m, r, args.nmax)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             dowling._write_csv(fh, args.kind, args.m, r, rows)
@@ -215,8 +218,8 @@ def cmd_dowling_conv(args):
     via_series = dowling.conv_series(args.m, args.n, args.t, args.s)[args.s]
     if 0 <= args.t - args.n <= args.s:
         # W_{m,1+mn}(s, t - n), from the last row of that triangle
-        last = deque(dowling._second_rows(args.m, 1 + args.m * args.n,
-                                          args.s), maxlen=1).pop()
+        last = deque(dowling.whitney_second_rows(
+            args.m, 1 + args.m * args.n, args.s), maxlen=1).pop()
         via_table = last[args.t - args.n]
     else:
         via_table = 0

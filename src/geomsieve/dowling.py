@@ -16,10 +16,12 @@ and the blocks are ordered by least element.
 The triangle side is independent of the lattice side: first-kind rows
 w_m(n, k) and shifted second-kind rows W_{m,r}(n, k) come from their
 two-term recurrences over exact integers, and the test suite plays the
-two sides against each other.  No triangle is kept: each reader forms
-the rows it needs, lazily, once (the convolution grid forms its own
-once per m), and a depth over _TRIANGLE_N_CAP is refused before any
-row.  The Dowling numbers D_{m,r}(n) are the row sums, but
+two sides against each other.  A triangle exists only as the lazy row
+stream of whitney_first_rows or whitney_second_rows; `dowling table`
+writes such a stream as CSV.  No triangle is kept: each reader forms
+the rows it needs, once (the convolution grid forms its own once per
+m), and a negative depth or one over _TRIANGLE_N_CAP is refused before
+any row.  The Dowling numbers D_{m,r}(n) are the row sums, but
 _dowling_numbers streams them from the shift recurrence
 D_{m,r}(i+1) = r D_{m,r}(i) + D_{m,r+m}(i), which follows from the
 exponential generating function exp(rx + (e^{mx} - 1)/m): it holds one
@@ -28,7 +30,6 @@ yields the anti-diagonals themselves, whose last two entries are
 D_{m,r+m}(k-1) and D_{m,r}(k).
 """
 
-import io
 from collections import deque, namedtuple
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
@@ -42,9 +43,8 @@ __all__ = [
     "build_Qn",
     "canonical_tau_index",
     "dowling_sieve_instance",
-    "WhitneyTriangle",
-    "whitney_first_table",
-    "whitney_second_table",
+    "whitney_first_rows",
+    "whitney_second_rows",
     "r_whitney_definition_check",
     "shifted_convolution",
     "conv_orthogonality_check",
@@ -55,8 +55,6 @@ __all__ = [
     "dowling_sieve_closed_form",
     "interval_profile_check",
     "IntervalProfileReport",
-    "triangle_to_csv",
-    "triangle_from_csv",
 ]
 
 
@@ -189,80 +187,46 @@ def _next_row(prev, coefs):
 _TRIANGLE_N_CAP = 500  # rows 0..500 of one triangle hold about 70 MB
 
 
-def _rows(nmax, coefs):
-    """An iterator over rows 0..nmax of the triangle whose row n has the
+def _rows(n_max, coefs):
+    """An iterator over rows 0..n_max of the triangle whose row n has the
     coefficients coefs(n); the depth is checked here, before any row."""
-    if nmax > _TRIANGLE_N_CAP:
+    if n_max < 0:
+        raise ValueError("need n_max >= 0")
+    if n_max > _TRIANGLE_N_CAP:
         raise TooLarge(f"need triangle depth <= {_TRIANGLE_N_CAP}, the cap "
-                       f"on Whitney rows (asked for {nmax})")
-    return accumulate(map(coefs, range(1, nmax + 1)), _next_row,
+                       f"on Whitney rows (asked for {n_max})")
+    return accumulate(map(coefs, range(1, n_max + 1)), _next_row,
                       initial=(1,))
 
 
-def _first_rows(m, nmax):
-    """Rows 0..nmax of w_m(n, k), lazily:
-    w(n, k) = w(n-1, k-1) - (1 + m(n-1)) w(n-1, k)."""
+def whitney_first_rows(m, n_max):
+    """Rows 0..n_max of the first-kind triangle w_m, lazily:
+    w(n, k) = w(n-1, k-1) - (1 + m(n-1)) w(n-1, k).  Row n holds the
+    mu-sums of Q_n(Z_m) by number of blocks (k = n - rank)."""
     if m < 1:
         raise ValueError("need m >= 1")
-    return _rows(nmax, lambda n: repeat(-(1 + m * (n - 1))))
+    return _rows(n_max, lambda n: repeat(-(1 + m * (n - 1))))
 
 
-def _second_rows(m, r, nmax):
-    """Rows 0..nmax of W_{m,r}(n, k), lazily:
-    W(n, k) = W(n-1, k-1) + (km + r) W(n-1, k)."""
+def whitney_second_rows(m, r, n_max):
+    """Rows 0..n_max of the shifted second-kind triangle W_{m,r}, lazily:
+    W(n, k) = W(n-1, k-1) + (km + r) W(n-1, k).  With r = 1, row n counts
+    the elements of Q_n(Z_m) by number of blocks."""
     if m < 1 or r < 0:
         raise ValueError("need m >= 1 and r >= 0")
-    return _rows(nmax, lambda n: range(r, r + m * n + 1, m))
-
-
-def _table_rows(kind, m, r, n_max):
-    """Rows 0..n_max of the first- or second-kind triangle, lazily; every
-    argument is checked before the first row."""
-    if n_max < 0:
-        raise ValueError("need n_max >= 0")
-    return (_first_rows(m, n_max) if kind == "first"
-            else _second_rows(m, r, n_max))
-
-
-class WhitneyTriangle(namedtuple("WhitneyTriangle", "kind m r n_max rows")):
-    """Rows 0..n_max of one Whitney triangle; value(n, k) is 0 for
-    k outside 0..n.  kind is "first" or "second"."""
-
-    __slots__ = ()
-
-    def row(self, n):
-        return self.rows[n]
-
-    def value(self, n, k):
-        if not 0 <= n <= self.n_max:
-            raise IndexError(f"row {n} not in 0..{self.n_max}")
-        if k < 0 or k > n:
-            return 0
-        return self.rows[n][k]
-
-
-def whitney_first_table(m, n_max):
-    """First-kind triangle w_m; row n holds mu-sums of Q_n(Z_m) by
-    number of blocks (k = n - rank)."""
-    rows = tuple(_table_rows("first", m, 1, n_max))
-    return WhitneyTriangle(kind="first", m=m, r=1, n_max=n_max, rows=rows)
-
-
-def whitney_second_table(m, r, n_max):
-    """Shifted second-kind triangle W_{m,r}; r = 1 counts Q_n(Z_m)
-    elements by number of blocks."""
-    rows = tuple(_table_rows("second", m, r, n_max))
-    return WhitneyTriangle(kind="second", m=m, r=r, n_max=n_max, rows=rows)
+    return _rows(n_max, lambda n: range(r, r + m * n + 1, m))
 
 
 def r_whitney_definition_check(m, r, n):
     """Exact check of (mx + r)^n = sum_k m^k W_{m,r}(n, k) (x)_k
     in the monomial basis."""
     lhs = [comb(n, j) * m ** j * r ** (n - j) for j in range(n + 1)]
-    # s(k, j) = w_1(k-1, j-1), because Q_{k-1}(Z_1) is the partition
-    # lattice Pi_k
-    s1 = [(1,)] + [(0,) + w for w in _first_rows(1, n - 1)]
-    row = deque(_second_rows(m, r, n), maxlen=1).pop()
+    row = deque(whitney_second_rows(m, r, n), maxlen=1).pop()
+    # s(k, j) = w_1(k-1, j-1) for k >= 1, because Q_{k-1}(Z_1) is the
+    # partition lattice Pi_k
+    s1 = [(1,)]
+    if n:
+        s1 += [(0,) + w for w in whitney_first_rows(1, n - 1)]
     rhs = [0] * (n + 1)
     for k in range(n + 1):
         c = m ** k * row[k]
@@ -277,9 +241,9 @@ def shifted_convolution(m, n, t, s):
     """c_{n,t}(s) = sum_k w_m(n, k) W_m(k + s, t), exactly."""
     if min(n, t, s) < 0:
         raise ValueError("need n, t, s >= 0")
-    second = _second_rows(m, 1, n + s)  # the deeper one, refused first
-    return _conv_value(deque(_first_rows(m, n), maxlen=1).pop(), second,
-                       t, s)
+    second = whitney_second_rows(m, 1, n + s)  # the deeper one, refused first
+    first = deque(whitney_first_rows(m, n), maxlen=1).pop()
+    return _conv_value(first, second, t, s)
 
 
 def _conv_value(first, second, t, s):
@@ -292,8 +256,8 @@ def _conv_value(first, second, t, s):
 def conv_orthogonality_check(m, n_max):
     """Both matrix products of the two triangles equal the identity:
     returns (True, None) or (False, (direction, n, s))."""
-    first = list(_first_rows(m, n_max))
-    second = list(_second_rows(m, 1, n_max))
+    first = list(whitney_first_rows(m, n_max))
+    second = list(whitney_second_rows(m, 1, n_max))
     for n in range(n_max + 1):
         for s in range(n_max + 1):
             want = 1 if n == s else 0
@@ -333,9 +297,10 @@ def conv_grid_check(m, n_max, t_max, s_max):
     triangle formed once: (True, None) or (False, (n, t, s))."""
     if min(n_max, t_max, s_max) < 0:
         raise ValueError("need n_max, t_max, s_max >= 0")
-    second = list(_second_rows(m, 1, n_max + s_max))  # the deepest first
-    for n, first in enumerate(_first_rows(m, n_max)):
-        shifted = list(_second_rows(m, 1 + m * n, s_max))
+    # the deepest triangle first, so an over-deep grid is refused at once
+    second = list(whitney_second_rows(m, 1, n_max + s_max))
+    for n, first in enumerate(whitney_first_rows(m, n_max)):
+        shifted = list(whitney_second_rows(m, 1 + m * n, s_max))
         for t in range(t_max + 1):
             series = conv_series(m, n, t, s_max)
             for s in range(s_max + 1):
@@ -450,12 +415,12 @@ def interval_profile_check(n, m, element, *, n_cap=5, m_cap=4):
     b = len(blocks)
     n0 = n - sum(map(len, blocks))
 
-    upper_expected = list(_second_rows(m, 1, b))[b][::-1]
-    lower = list(_second_rows(m, 1, n0))[n0][::-1]
-    first = list(_first_rows(m, n0))[n0][::-1]
+    upper_expected = list(whitney_second_rows(m, 1, b))[b][::-1]
+    lower = list(whitney_second_rows(m, 1, n0))[n0][::-1]
+    first = list(whitney_first_rows(m, n0))[n0][::-1]
     big = max(map(len, blocks), default=1) - 1
-    part_second = list(_second_rows(1, 1, big))
-    part_first = list(_first_rows(1, big))
+    part_second = list(whitney_second_rows(1, 1, big))
+    part_first = list(whitney_first_rows(1, big))
     for blk in blocks:
         lower = _convolve(lower, part_second[len(blk) - 1][::-1])
         first = _convolve(first, part_first[len(blk) - 1][::-1])
@@ -485,16 +450,10 @@ def interval_profile_check(n, m, element, *, n_cap=5, m_cap=4):
 
 # -- CSV ----------------------------------------------------------------------
 
-def triangle_to_csv(tri):
-    """Two header lines (metadata, then column names) and one row per
-    (n, k) entry, every value in full."""
-    buf = io.StringIO()
-    _write_csv(buf, tri.kind, tri.m, tri.r, tri.rows)
-    return buf.getvalue()
-
-
 def _write_csv(stream, kind, m, r, rows):
-    """Write triangle_to_csv's text to stream, each row as it comes."""
+    """Write a triangle to stream, each row as it comes: two header lines
+    (kind,m,r and their values), the column names n,k,value, then one
+    line per entry with every value in full."""
     import csv
 
     w = csv.writer(stream, lineterminator="\n")
@@ -504,42 +463,3 @@ def _write_csv(stream, kind, m, r, rows):
     with _exact_digits():
         for n, row in enumerate(rows):
             w.writerows((n, k, v) for k, v in enumerate(row))
-
-
-def triangle_from_csv(text):
-    """Read back triangle_to_csv's output; only the value column is
-    parsed past the int-to-str digit limit."""
-    import csv
-
-    rows = list(csv.reader(io.StringIO(text)))
-    if len(rows) < 3 or rows[0] != ["kind", "m", "r"] or len(rows[1]) != 3 \
-            or rows[2] != ["n", "k", "value"]:
-        raise ValueError("not a triangle CSV: lines 1-3 must be kind,m,r, "
-                         "its three values, and n,k,value")
-    kind, m, r = rows[1][0], int(rows[1][1]), int(rows[1][2])
-    if kind not in ("first", "second"):
-        raise ValueError(f"unknown triangle kind {kind!r}")
-    entries = {}  # (n, k) -> value, still as text
-    for line, row in enumerate(rows[3:], 4):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ValueError(
-                f"triangle CSV line {line} needs the fields n, k, value")
-        n, k = int(row[0]), int(row[1])
-        if not 0 <= k <= n:
-            raise ValueError(f"triangle CSV line {line}: need 0 <= k <= n")
-        if (n, k) in entries:
-            raise ValueError(f"triangle CSV line {line}: entry {(n, k)} "
-                             "given twice")
-        entries[(n, k)] = row[2]
-    if not entries:
-        raise ValueError("triangle CSV has no entries")
-    n_max = max(n for n, _k in entries)
-    try:
-        with _exact_digits():
-            tri_rows = tuple(tuple(int(entries[(n, k)]) for k in range(n + 1))
-                             for n in range(n_max + 1))
-    except KeyError as exc:
-        raise ValueError(f"triangle CSV missing entry {exc}") from None
-    return WhitneyTriangle(kind=kind, m=m, r=r, n_max=n_max, rows=tri_rows)

@@ -161,9 +161,8 @@ def check_log_concavity(fast=False):
         rows += 1
     nmax = 20 if fast else 40
     for m in range(1, 6):
-        tri = dowling.whitney_first_table(m, nmax)
-        for n in range(nmax + 1):
-            absrow = [abs(v) for v in tri.row(n)]
+        for n, row in enumerate(dowling.whitney_first_rows(m, nmax)):
+            absrow = [abs(v) for v in row]
             ok, _ = is_log_concave(absrow)
             if not ok:
                 return False, f"triangle m={m} row {n}: log-concavity fails"
@@ -294,15 +293,16 @@ def check_classical_oracles(fast=False):
     bell = list(generators._bell_numbers(nmax + 1))
     s1 = _stirling1_signed(nmax + 1)
     s2 = _stirling2(nmax + 1)
-    tri1 = dowling.whitney_first_table(1, nmax)
-    tri2 = dowling.whitney_second_table(1, 1, nmax)
-    for n, d1 in enumerate(dowling._dowling_numbers(1, 1, nmax)):
+    streams = zip(dowling._dowling_numbers(1, 1, nmax),
+                  dowling.whitney_first_rows(1, nmax),
+                  dowling.whitney_second_rows(1, 1, nmax))
+    for n, (d1, w1, W1) in enumerate(streams):
         if d1 != bell[n + 1]:
             return False, f"D_1({n}) != Bell({n + 1})"
         for k in range(n + 1):
-            if abs(tri1.value(n, k)) != abs(s1[n + 1][k + 1]):
+            if abs(w1[k]) != abs(s1[n + 1][k + 1]):
                 return False, f"|w_1({n},{k})| != |s({n + 1},{k + 1})|"
-            if tri2.value(n, k) != s2[n + 1][k + 1]:
+            if W1[k] != s2[n + 1][k + 1]:
                 return False, f"W_1({n},{k}) != S({n + 1},{k + 1})"
     return True, f"n <= {nmax} against Bell and Stirling triangles"
 

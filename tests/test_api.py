@@ -17,7 +17,6 @@ import geomsieve
 from geomsieve import (
     asym,
     brun,
-    dowling,
     generators,
     matroid,
     poset,
@@ -144,15 +143,12 @@ def test_record_types_are_frozen_values():
     chk = poset.GeometricCheck(False, "NotAtomistic", (2,))
     report = brun.BrunReport(whitney_first=(1, -2, 1),
                              partial_sums=(1, -1, 0))
-    tri = dowling.whitney_first_table(2, 1)
     assert repr(chk) == ("GeometricCheck(ok=False, failure='NotAtomistic', "
                          "witness=(2,))")
     assert repr(poset.GeometricCheck(True)) == (
         "GeometricCheck(ok=True, failure=None, witness=None)")
     assert repr(report) == ("BrunReport(whitney_first=(1, -2, 1), "
                             "partial_sums=(1, -1, 0))")
-    assert repr(tri) == ("WhitneyTriangle(kind='first', m=2, r=1, n_max=1, "
-                         "rows=((1,), (-1, 1)))")
     result = verify.CheckResult("brun-zoo", True, "3 lattices", 0.5)
     assert repr(result) == ("CheckResult(name='brun-zoo', ok=True, "
                             "detail='3 lattices', seconds=0.5)")
@@ -164,7 +160,6 @@ def test_record_types_are_frozen_values():
     for record, field, other in [
             (chk, "witness", poset.GeometricCheck(False, "NotAtomistic", (3,))),
             (report, "partial_sums", brun.BrunReport((1, -2, 1), (1, -1, 1))),
-            (tri, "rows", dowling.whitney_second_table(2, 1, 1)),
             (result, "ok", result._replace(ok=False)),
             (cmp_.saddle, "delta", asym.saddle_values(1, 1, 11, digits=15)),
             (cmp_, "rel_err", asym.compare_exact(1, 2, 10, digits=15))]:

@@ -5,8 +5,9 @@ import math
 import mpmath as mp
 import pytest
 
-from geomsieve import dowling, verify
+from geomsieve import asym, dowling, verify
 from geomsieve.asym import compare_exact, saddle_values, solve_delta
+from geomsieve.cli import main
 from geomsieve.dowling import r_dowling_number
 from geomsieve.errors import NoConvergence, TooLarge
 
@@ -194,6 +195,19 @@ def test_compare_exact_refuses_n_over_cap_before_any_row(row_steps):
         compare_exact(2, 3, 2001)
     assert row_steps == []
 
+
+def test_compare_exact_refuses_n_over_cap_before_the_saddle(monkeypatch,
+                                                           capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("saddle evaluated")
+
+    monkeypatch.setattr(asym, "saddle_values", refuse)
+    with pytest.raises(TooLarge, match="^need n <= 2000, the cap on exact "):
+        compare_exact(2, 3, 2001, digits=1000)
+    assert main(["asym", "dowling", "--m", "2", "--r", "3", "--n", "2001",
+                 "--compare-exact"]) == 2
+    assert capsys.readouterr().err == ("error: need n <= 2000, the cap on "
+                                       "exact Dowling numbers\n")
 
 @pytest.mark.parametrize("fast", [False, True], ids=["full", "fast"])
 def test_saddle_check_matches_per_n_comparisons(fast):

@@ -138,7 +138,7 @@ def test_exception_hierarchy():
     assert issubclass(NegativeEntry, ValueError)
 
 
-def test_verify_check_catches_a_wrong_mobius_value(monkeypatch):
+def _mobius_off_by_one_at_rank_4(monkeypatch):
     # mu(bottom, y) off by one at the first element of rank 4; the zoo
     # starts with boolean:1..8, so boolean:4 is the first lattice hit
     right = poset.FiniteLattice.mobius_table
@@ -151,7 +151,22 @@ def test_verify_check_catches_a_wrong_mobius_value(monkeypatch):
         return table[:y] + (table[y] + 1,) + table[y + 1:]
 
     monkeypatch.setattr(poset.FiniteLattice, "mobius_table", off_by_one)
+
+
+def test_verify_check_catches_a_wrong_mobius_value(monkeypatch):
+    _mobius_off_by_one_at_rank_4(monkeypatch)
     ok, detail = verify.check_brun_zoo(fast=True)
     assert ok is False
     assert detail == ("boolean:4: Mobius sums over the whole lattice "
                       "must vanish")
+
+
+def test_alternating_sums_check_catches_a_wrong_mobius_value(monkeypatch):
+    # the random sequences pass, then the lattice-level verifier refuses
+    # boolean:4, and run_checks reports its error as the check's failure
+    _mobius_off_by_one_at_rank_4(monkeypatch)
+    [result] = verify.run_checks("sequences", fast=True)
+    assert result.name == "alternating-sums"
+    assert result.ok is False
+    assert result.detail == ("error: Mobius sums over the whole lattice "
+                             "must vanish")

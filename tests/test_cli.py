@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ import pytest
 import geomsieve
 from geomsieve import dowling, generators, poset
 from geomsieve.cli import main
-from geomsieve.poset import lattice_from_json, lattice_to_json
+from geomsieve.poset import _exact_digits, lattice_from_json, lattice_to_json
 from geomsieve.sieve import sieve_instance_to_json
 
 import oracles
@@ -26,6 +28,21 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     return code, json.loads(out), err
+
+
+def read_table(text):
+    """The kind,m,r values and the rows of `dowling table` CSV text; the
+    n,k,value lines must come in row order."""
+    lines = list(csv.reader(io.StringIO(text)))
+    assert lines[0] == ["kind", "m", "r"] and lines[2] == ["n", "k", "value"]
+    rows = []
+    with _exact_digits():  # int() past the int-to-str digit limit
+        for n, k, value in lines[3:]:
+            if k == "0":
+                rows.append(())
+            assert (int(n), int(k)) == (len(rows) - 1, len(rows[-1]))
+            rows[-1] += (int(value),)
+    return lines[1], rows
 
 
 def test_lattice_check_generator(capsys):
@@ -333,11 +350,8 @@ def test_dowling_table_round_trip(capsys):
     code, out, _ = run_cli(capsys, "dowling", "table", "--kind", "second",
                            "--m", "2", "--nmax", "4")
     assert code == 0
-    tri = dowling.triangle_from_csv(out)
-    expected = dowling.whitney_second_table(2, 1, 4)
-    for n in range(5):
-        for k in range(n + 1):
-            assert tri.value(n, k) == expected.value(n, k)
+    assert read_table(out) == (["second", "2", "1"],
+                               list(dowling.whitney_second_rows(2, 1, 4)))
 
 
 def test_dowling_table_out_file(capsys, tmp_path):
@@ -346,8 +360,8 @@ def test_dowling_table_out_file(capsys, tmp_path):
                            "--m", "3", "--nmax", "3", "--out", str(path))
     assert code == 0
     assert out == ""
-    tri = dowling.triangle_from_csv(path.read_text(encoding="utf-8"))
-    assert tri.value(2, 0) == dowling.whitney_first_table(3, 2).value(2, 0)
+    assert read_table(path.read_text(encoding="utf-8")) == \
+        (["first", "3", "1"], list(dowling.whitney_first_rows(3, 3)))
 
 
 @pytest.mark.parametrize("kind", ["first", "second"])
@@ -439,20 +453,26 @@ def test_triangle_depth_over_cap_exit_two(capsys, triangle_steps, argv,
 def test_dowling_conv_reads_one_shifted_row(capsys, monkeypatch, m, n, t, s):
     # the shifted-triangle value is the entry (s, t - n) of
     # W_{m,1+mn} (0 for t < n and for t - n > s), read from its last
-    # row without forming the whole table
-    table = dowling.whitney_second_table(m, 1 + m * n, s)
-    expected = table.value(s, t - n) if t >= n else 0
+    # row; that triangle is streamed only when the entry is in it
+    rows = dowling.whitney_second_rows
+    last = list(rows(m, 1 + m * n, s))[s]
+    expected = last[t - n] if 0 <= t - n <= s else 0
+    calls = []
 
-    def refuse(*args):
-        raise AssertionError("whitney_second_table called")
+    def counted(*args):
+        calls.append(args)
+        return rows(*args)
 
-    monkeypatch.setattr(dowling, "whitney_second_table", refuse)
+    monkeypatch.setattr(dowling, "whitney_second_rows", counted)
     code, data, _ = run_json(capsys, "dowling", "conv", "--m", str(m),
                              "--n", str(n), "--t", str(t), "--s", str(s))
     assert code == 0
     assert data["via_shifted_triangle"] == expected
     assert data["value"] == data["via_series"] == expected
     assert data["agree"] is True
+    # the convolution streams W_{m,1} to n + s, the CLI W_{m,1+mn} to s
+    shifted = [(m, 1 + m * n, s)] if 0 <= t - n <= s else []
+    assert calls == [(m, 1, n + s)] + shifted
 
 
 def test_dowling_conv_below_diagonal(capsys):
@@ -547,9 +567,13 @@ def test_dowling_table_round_trip_past_int_str_digit_limit(capsys):
                              "--m", "1", "--r", "1" + "0" * 100,
                              "--nmax", "50")
     assert code == 0, err
-    tri = dowling.triangle_from_csv(out)
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
-    assert tri == dowling.whitney_second_table(1, 10 ** 100, 50)
+    entry = next(line for line in out.splitlines()
+                 if line.startswith("50,0,"))
+    assert len(entry) == len("50,0,") + 5001
+    header, rows = read_table(out)
+    assert header == ["second", "1", "1" + "0" * 100]
+    assert rows == list(dowling.whitney_second_rows(1, 10 ** 100, 50))
 
 
 def test_asym_dowling(capsys):

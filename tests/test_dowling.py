@@ -1,9 +1,12 @@
+import csv
+import io
 import itertools
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -23,10 +26,8 @@ from geomsieve.dowling import (
     r_dowling_number,
     r_whitney_definition_check,
     shifted_convolution,
-    triangle_from_csv,
-    triangle_to_csv,
-    whitney_first_table,
-    whitney_second_table,
+    whitney_first_rows,
+    whitney_second_rows,
 )
 from geomsieve.errors import TooLarge
 from geomsieve.sieve import sieve_main_term, sifted_count_exact
@@ -113,50 +114,45 @@ def test_order_test_matches_lattice():
 
 
 def test_first_kind_triangle():
-    tri = whitney_first_table(2, 5)
-    assert tri.row(2) == (3, -4, 1)
-    assert tri.value(4, 4) == 1
-    assert tri.value(3, 5) == 0
-    assert tri.value(2, -1) == 0
-    with pytest.raises(IndexError):
-        tri.row(6)
+    rows = list(whitney_first_rows(2, 5))
+    assert [len(row) for row in rows] == [1, 2, 3, 4, 5, 6]
+    assert rows[2] == (3, -4, 1)
+    assert rows[4][4] == 1
     # sign pattern
-    for n in range(6):
-        for k in range(n + 1):
-            assert (-1) ** (n - k) * tri.value(n, k) >= 0
+    for n, row in enumerate(rows):
+        for k, v in enumerate(row):
+            assert (-1) ** (n - k) * v >= 0
 
 
 def test_first_kind_matches_stirling():
-    tri = whitney_first_table(1, 20)
     s1 = oracles.stirling1_signed(21)
-    for n in range(21):
-        for k in range(n + 1):
-            assert abs(tri.value(n, k)) == abs(s1[n + 1][k + 1])
+    for n, row in enumerate(whitney_first_rows(1, 20)):
+        for k, v in enumerate(row):
+            assert abs(v) == abs(s1[n + 1][k + 1])
 
 
 def test_second_kind_triangle():
-    tri = whitney_second_table(2, 1, 5)
-    assert tri.row(2) == (1, 4, 1)
-    tri12 = whitney_second_table(1, 2, 5)
-    assert tri12.value(2, 0) == 4
-    for n in range(6):
-        assert tri12.value(n, 0) == 2 ** n
-        assert tri12.value(n, n) == 1
+    assert list(whitney_second_rows(2, 1, 5))[2] == (1, 4, 1)
+    rows12 = list(whitney_second_rows(1, 2, 5))
+    assert rows12[2][0] == 4
+    for n, row in enumerate(rows12):
+        assert len(row) == n + 1
+        assert row[0] == 2 ** n
+        assert row[n] == 1
 
 
 def test_second_kind_matches_stirling():
-    tri = whitney_second_table(1, 1, 20)
     s2 = oracles.stirling2(21)
-    for n in range(21):
-        for k in range(n + 1):
-            assert tri.value(n, k) == s2[n + 1][k + 1]
+    for n, row in enumerate(whitney_second_rows(1, 1, 20)):
+        for k, v in enumerate(row):
+            assert v == s2[n + 1][k + 1]
 
 
 def test_lattice_and_triangle_agree():
     for n, m in [(1, 1), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3)]:
         lat = build_Qn(n, m)
-        first = whitney_first_table(m, n).row(n)
-        second = whitney_second_table(m, 1, n).row(n)
+        first = list(whitney_first_rows(m, n))[n]
+        second = list(whitney_second_rows(m, 1, n))[n]
         # rank i in the lattice corresponds to k = n - i in the triangle
         assert lat.whitney_first() == tuple(first[::-1])
         assert lat.whitney_second() == tuple(second[::-1])
@@ -164,9 +160,9 @@ def test_lattice_and_triangle_agree():
 
 def test_first_kind_rows_vanish_at_char_roots():
     for m in (1, 2, 3):
-        tri = whitney_first_table(m, 8)
+        rows = list(whitney_first_rows(m, 8))
         for n in range(1, 9):
-            row = tri.row(n)
+            row = rows[n]
             for i in range(n):
                 lam = 1 + i * m
                 assert sum(c * lam ** k for k, c in enumerate(row)) == 0
@@ -211,9 +207,9 @@ def test_orthogonality():
         ok, witness = conv_orthogonality_check(m, 10)
         assert ok and witness is None
     # by-hand spot: sum_r W_2(2,r) w_2(r,0) = 1*1 + 4*(-1) + 1*3
-    w = whitney_first_table(2, 2)
-    W = whitney_second_table(2, 1, 2)
-    total = sum(W.value(2, r) * w.value(r, 0) for r in range(3))
+    w = list(whitney_first_rows(2, 2))
+    W = list(whitney_second_rows(2, 1, 2))
+    total = sum(W[2][r] * w[r][0] for r in range(3))
     assert total == 0
 
 
@@ -232,18 +228,18 @@ def test_conv_series():
 
 def test_conv_series_n0_is_second_kind_series():
     for m in (1, 2, 3):
+        rows = list(whitney_second_rows(m, 1, 12))
         for t in range(4):
             ser = conv_series(m, 0, t, 12)
-            tri = whitney_second_table(m, 1, 12)
-            for s in range(13):
-                assert ser[s] == tri.value(s, t)
+            for s, row in enumerate(rows):
+                assert ser[s] == (row[t] if t <= s else 0)
 
 
 def test_conv_equals_shifted_rwhitney():
     for m in (1, 2):
         assert conv_grid_check(m, 3, 6, 10) == (True, None)
     assert shifted_convolution(1, 1, 1, 2) == \
-        whitney_second_table(1, 2, 2).value(2, 0) == 4
+        list(whitney_second_rows(1, 2, 2))[2][0] == 4
 
 
 def test_conv_grid_check_forms_each_triangle_once(triangle_steps):
@@ -262,15 +258,15 @@ def test_conv_grid_check_refuses_a_negative_bound():
 def test_conv_grid_check_finds_an_off_by_one_shifted_entry(monkeypatch):
     # W_{2,5} is the shifted triangle of n = 2 at m = 2; one entry,
     # W_{2,5}(3, 1), is off by one, so c_{2,3}(3) disagrees with it
-    rows = dowling._second_rows
+    rows = dowling.whitney_second_rows
 
-    def mutated(m, r, nmax):
-        out = list(rows(m, r, nmax))
+    def mutated(m, r, n_max):
+        out = list(rows(m, r, n_max))
         if (m, r) == (2, 5):
             out[3] = (out[3][0], out[3][1] + 1) + out[3][2:]
         return out
 
-    monkeypatch.setattr(dowling, "_second_rows", mutated)
+    monkeypatch.setattr(dowling, "whitney_second_rows", mutated)
     assert conv_grid_check(2, 4, 6, 5) == (False, (2, 3, 3))
     assert verify.check_convolution_grid(fast=True) == \
         (False, "mismatch at m=2, n=2, t=3, s=3")
@@ -282,8 +278,9 @@ def test_conv_grid_check_finds_an_off_by_one_shifted_entry(monkeypatch):
 def test_shifted_convolution_matches_series_and_shifted_triangle(m, n, t, s):
     value = shifted_convolution(m, n, t, s)
     assert value == conv_series(m, n, t, s)[s]
-    # value(s, k) is 0 for k < 0, which is the vanishing for t < n
-    assert value == whitney_second_table(m, 1 + m * n, s).value(s, t - n)
+    # W(s, k) is 0 for k < 0, which is the vanishing for t < n
+    row = list(whitney_second_rows(m, 1 + m * n, s))[s]
+    assert value == (row[t - n] if 0 <= t - n <= s else 0)
 
 
 def test_series_arithmetic():
@@ -341,9 +338,9 @@ def test_canonical_tau():
         report = interval_profile_check(n, m, tau)
         assert report.ok
         assert report.lower_actual == \
-            tuple(whitney_second_table(m, 1, k).row(k)[::-1])
+            list(whitney_second_rows(m, 1, k))[k][::-1]
         assert report.first_actual == \
-            tuple(whitney_first_table(m, k).row(k)[::-1])
+            list(whitney_first_rows(m, k))[k][::-1]
 
 
 def test_interval_profiles():
@@ -381,56 +378,19 @@ def test_interval_profile_above_bottom_is_whole_lattice():
     assert report.first_actual == (1,)
 
 
-def test_triangle_csv_round_trip(tmp_path):
-    for tri in (whitney_first_table(2, 6), whitney_second_table(3, 2, 5)):
-        text = triangle_to_csv(tri)
-        back = triangle_from_csv(text)
-        assert back.kind == tri.kind
-        assert back.m == tri.m and back.r == tri.r
-        assert back.n_max == tri.n_max
-        for n in range(tri.n_max + 1):
-            assert back.row(n) == tri.row(n)
-
-
-def test_triangle_csv_rejects_garbage():
-    with pytest.raises(ValueError):
-        triangle_from_csv("bogus\n")
-    tri = whitney_first_table(1, 3)
-    text = triangle_to_csv(tri)
-    lines = text.strip().splitlines()
-    with pytest.raises(ValueError, match="missing"):
-        triangle_from_csv("\n".join(lines[:-1]) + "\n")
-
-
-HEAD = "kind,m,r\nfirst,1,1\nn,k,value\n"
-
-
-@pytest.mark.parametrize("text, message", [
-    pytest.param("kind,m,r\nfirst\nn,k,value\n0,0,1\n",
-                 "lines 1-3 must be", id="short-header"),
-    pytest.param("kind,m,r\nfirst,1\nn,k,value\n0,0,1\n",
-                 "lines 1-3 must be", id="header-without-r"),
-    pytest.param(HEAD + "0,0\n", "line 4 needs the fields n, k, value",
-                 id="short-row"),
-    pytest.param(HEAD + "0,0,1\n\n1,0\n1,1,1\n", "line 6 needs the fields",
-                 id="short-row-after-blank"),
-    pytest.param(HEAD + "0,0,1,7\n", "line 4 needs the fields",
-                 id="long-row"),
-    pytest.param(HEAD + "0,0,1\n0,1,5\n", "line 5: need 0 <= k <= n",
-                 id="k-over-n"),
-    pytest.param(HEAD + "0,0,1\n1,-1,5\n", "line 5: need 0 <= k <= n",
-                 id="negative-k"),
-    pytest.param(HEAD + "-1,0,5\n0,0,1\n", "line 4: need 0 <= k <= n",
-                 id="negative-n"),
-    pytest.param(HEAD + "0,0,1\n0,0,1\n",
-                 r"line 5: entry \(0, 0\) given twice", id="repeated"),
-    pytest.param(HEAD, "no entries", id="no-entries"),
-    pytest.param(HEAD + "0,0,1\n2,0,2\n", r"missing entry \(1, 0\)",
-                 id="missing-row"),
-])
-def test_triangle_csv_refuses_malformed_input(text, message):
-    with pytest.raises(ValueError, match=message):
-        triangle_from_csv(text)
+def test_triangle_csv_round_trip():
+    # the CSV that `dowling table` writes parses back to the row stream
+    for kind, m, r, rows in [
+            ("first", 2, 1, partial(whitney_first_rows, 2, 6)),
+            ("second", 3, 2, partial(whitney_second_rows, 3, 2, 5))]:
+        buf = io.StringIO()
+        dowling._write_csv(buf, kind, m, r, rows())
+        lines = list(csv.reader(io.StringIO(buf.getvalue())))
+        assert lines[:3] == [["kind", "m", "r"], [kind, str(m), str(r)],
+                             ["n", "k", "value"]]
+        expected = [(n, k, v) for n, row in enumerate(rows())
+                    for k, v in enumerate(row)]
+        assert [tuple(map(int, line)) for line in lines[3:]] == expected
 
 
 @pytest.mark.parametrize("call", [
@@ -467,7 +427,7 @@ def test_dowling_stream_matches_egf_recurrence(m, r, n):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 6), st.integers(0, 25))
 def test_dowling_stream_matches_triangle_row_sums(m, r, n):
-    rows = whitney_second_table(m, r, n).rows
+    rows = whitney_second_rows(m, r, n)
     assert list(dowling._dowling_numbers(m, r, n)) == list(map(sum, rows))
 
 
@@ -526,6 +486,49 @@ def test_verify_check_catches_a_wrong_dowling_number(monkeypatch):
     assert detail == "D_1(11) != Bell(12)"
 
 
+@pytest.mark.parametrize("fast", [False, True], ids=["full", "fast"])
+def test_triangle_checks_form_each_row_once(triangle_steps, fast):
+    # rows 1..nmax of w_m for m = 1..5, one stream each
+    verify.check_log_concavity(fast=fast)
+    nmax = 20 if fast else 40
+    assert triangle_steps == list(range(1, nmax + 1)) * 5
+    # w_1 and W_{1,1} read side by side, row by row
+    triangle_steps.clear()
+    verify.check_classical_oracles(fast=fast)
+    nmax = 15 if fast else 30
+    assert triangle_steps == [n for n in range(1, nmax + 1) for _ in "wW"]
+
+
+def test_verify_check_catches_a_zero_inside_a_first_kind_row(monkeypatch):
+    # w_2(5, 2) set to 0 leaves a gap inside |row 5| of w_2
+    rows = dowling.whitney_first_rows
+
+    def mutated(m, n_max):
+        for n, row in enumerate(rows(m, n_max)):
+            yield row[:2] + (0,) + row[3:] if (m, n) == (2, 5) else row
+
+    monkeypatch.setattr(dowling, "whitney_first_rows", mutated)
+    ok, detail = verify.check_log_concavity(fast=True)
+    assert ok is False
+    assert detail == "triangle m=2 row 5: log-concavity fails"
+
+
+def test_verify_check_catches_a_wrong_second_kind_coefficient(monkeypatch):
+    # W_2(3, 1) off by one, so row 3 of W_2 against column 0 of w_2
+    # sums to -1, not 0
+    rows = dowling.whitney_second_rows
+
+    def mutated(m, r, n_max):
+        for n, row in enumerate(rows(m, r, n_max)):
+            if (m, r, n) == (2, 1, 3):
+                row = (row[0], row[1] + 1) + row[2:]
+            yield row
+
+    monkeypatch.setattr(dowling, "whitney_second_rows", mutated)
+    ok, detail = verify.check_orthogonality(fast=True)
+    assert ok is False
+    assert detail == "m=2: fails at ('second*first', 3, 0)"
+
 def test_r_dowling_number_holds_one_row():
     # the stream holds one anti-diagonal, about 1.2 MB at its peak; rows
     # 0..1000 of the cached triangle peaked at about 213 MB
@@ -543,8 +546,8 @@ def test_r_dowling_number_holds_one_row():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: whitney_first_table(2, 11),
-    lambda: whitney_second_table(3, 2, 11),
+    lambda: whitney_first_rows(2, 11),
+    lambda: whitney_second_rows(3, 2, 11),
     lambda: shifted_convolution(2, 3, 5, 8),
     lambda: conv_grid_check(2, 1, 3, 10),
 ], ids=["first_table", "second_table", "shifted_convolution",
@@ -557,30 +560,34 @@ def test_triangles_refuse_depth_over_cap_before_any_row(monkeypatch, call,
                                        r"1[01]\)$"):
         call()
     assert triangle_steps == []
-    assert whitney_second_table(3, 2, 10).n_max == 10
+    assert len(list(whitney_second_rows(3, 2, 10))) == 11
     assert shifted_convolution(2, 3, 5, 7) == \
-        whitney_second_table(2, 7, 7).value(7, 2)
+        list(whitney_second_rows(2, 7, 7))[7][2]
 
 
-def test_triangle_tables_refuse_negative_n_max():
-    with pytest.raises(ValueError, match="need n_max >= 0"):
-        whitney_first_table(2, -1)
-    with pytest.raises(ValueError, match="need n_max >= 0"):
-        whitney_second_table(2, 1, -1)
-    assert whitney_first_table(2, 0).rows == ((1,),)
+def test_triangle_tables_refuse_negative_n_max(triangle_steps):
+    # the row functions refuse when called, before any row is formed
+    for call in (lambda: whitney_first_rows(2, -1),
+                 lambda: whitney_second_rows(2, 1, -1),
+                 lambda: whitney_second_rows(2, 1, -3)):
+        with pytest.raises(ValueError, match=r"^need n_max >= 0$"):
+            call()
+    assert triangle_steps == []
+    assert list(whitney_first_rows(2, 0)) == [(1,)]
+    assert list(whitney_second_rows(2, 3, 0)) == [(1,)]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 25), st.integers(0, 6))
 def test_second_kind_row_sums_are_r_dowling(m, n, r):
-    tri = whitney_second_table(m, r, n)
-    assert sum(tri.row(n)) == r_dowling_number(m, r, n)
+    row = list(whitney_second_rows(m, r, n))[n]
+    assert sum(row) == r_dowling_number(m, r, n)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 20))
 def test_first_kind_alternating_row_sums(m, n):
-    row = whitney_first_table(m, n).row(n)
+    row = list(whitney_first_rows(m, n))[n]
     absrow = [abs(v) for v in row]
     total = sum(absrow)
     # row evaluated at -1 gives the number of elements with all signs up

@@ -370,6 +370,19 @@ def test_brun_check_fails_on_a_raised_lower_bound(monkeypatch):
                       f"{exact + 1} !<= {exact} !<= {exact}")
 
 
+def test_verify_check_catches_a_wrong_sifted_count(monkeypatch):
+    # the sifted count one too high once rank(tau) >= 3; the first such
+    # instance is Q_3(Z_1) with k = 3, where D_{1,4}(0) = 1
+    honest = sieve.sifted_count_exact
+
+    def raised(inst):
+        return honest(inst) + (inst.lattice.rank[inst.tau] >= 3)
+
+    monkeypatch.setattr(sieve, "sifted_count_exact", raised)
+    ok, detail = verify.check_sieve_closed_form(fast=True)
+    assert ok is False
+    assert detail == "n=3, m=1, k=3: count 2 != closed form 1"
+
 def test_brun_bounds_cutoff_zero_upper_is_A():
     inst = b3_instance(T=[1, 2])
     lower, upper = brun_bounds(inst, 0)
