@@ -60,10 +60,23 @@ def _exact_json_int(text):
             "values") from None
 
 
+def _read_json(path, parse_int):
+    """A JSON file, parsed by the C decoder; only when that raises
+    ValueError for an integer past the int-to-str digit limit is it
+    parsed again with parse_int, a Python call per integer."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # an integer past the digit limit
+        return json.loads(text, parse_int=parse_int)
+
+
 def _load_lattice(source, cap):
     if os.path.exists(source):
-        with open(source, encoding="utf-8") as fh:
-            source = json.load(fh, parse_int=_json_int)
+        source = _read_json(source, _json_int)
     elif ":" not in source:
         raise ValueError(f"{source!r} is neither a file nor a generator name")
     return generators.load_lattice(source, cap)
@@ -124,8 +137,7 @@ def cmd_sieve_run(args):
         sifted_count_exact,
     )
 
-    with open(args.path, encoding="utf-8") as fh:
-        data = json.load(fh, parse_int=_exact_json_int)
+    data = _read_json(args.path, _exact_json_int)
     inst = sieve_instance_from_json(data, cap_elements=args.cap_elements)
     lat = inst.lattice
     rank_tau = lat.rank[inst.tau]

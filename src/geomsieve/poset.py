@@ -29,6 +29,22 @@ semimodular iff x v y has rank r(z) + 2 whenever x and y cover z
 whose join lies below y, so the scan keeps the first breaking pair per
 join, and the first kept below y is the witness for [0, y].
 
+The build walks the cover list a fixed number of times.  Whole-list
+tests in C (pair shape and type, range, self-loops, repeats) check it;
+only when one fails is it walked pair by pair, to name the first bad
+pair.  One Python walk then lists the upper covers of each element and
+counts its lower covers; the sorted lists give lat.covers.  Kahn's
+topological sort over those lists is the cycle check and sets the
+longest-chain ranks as it goes.  Every cover climbs at least one rank,
+so gradedness is one sum: the climbs must add up to the number of
+covers.  Positions come from rank buckets, and the upper covers are
+relabelled to positions once; that one adjacency feeds the closure and
+the cover scan, and the lower-cover counts give the atomistic mask
+below.  The scan keeps its own up-sets with bits in reverse position
+order, so the least element of up[x] & up[y] is read off its bit
+length, where the lowest set bit costs a two's-complement pass over
+the whole mask.
+
 Atomistic, from lower-cover counts: an element of rank >= 2 covering a
 single y has all its atoms below y, so it is no join of atoms; and the
 first non-join of atoms in rank order covers a single element, since
@@ -50,8 +66,10 @@ their tables are summed almost entirely by masks.
 
 import contextlib
 import sys
-from collections import Counter, namedtuple
+from collections import namedtuple
+from itertools import chain
 from math import isqrt
+from operator import eq, mul
 
 from .errors import (
     Cyclic,
@@ -89,7 +107,7 @@ class FiniteLattice:
     """Immutable finite graded lattice.  Use build_lattice() to create one."""
 
     def __init__(self, n, covers, labels, rank, bottom, top,
-                 pos_of, idx_of, down, up, semi_fail):
+                 pos_of, idx_of, down, up, semi_fail, lone):
         self.n_elems = n
         self.covers = covers
         self.labels = labels
@@ -101,9 +119,7 @@ class FiniteLattice:
         self._down = down
         self._up = up
         self._semi_fail = semi_fail  # join position -> first breaking pair
-        lower = Counter(y for _x, y in covers)
-        self._lone = sum(1 << pos_of[v] for v in range(n)
-                         if rank[v] >= 2 and lower[v] == 1)
+        self._lone = lone  # positions not a join of atoms: one lower cover
         self._mobius_cache = {}
 
     # -- basic queries ------------------------------------------------
@@ -246,18 +262,22 @@ def _transitive_closure(n, covers):
     (x, y)).  Returns (down, up): down[i] is the bitmask of {j : j <= i}
     and up[i] the bitmask of {j : i <= j}.
     """
-    down = [1 << i for i in range(n)]
-    up = [1 << i for i in range(n)]
-    children = [[] for _ in range(n)]
     parents = [[] for _ in range(n)]
     for x, y in covers:
-        children[y].append(x)
         parents[x].append(y)
-    for y in range(n):
-        d = down[y]
-        for c in children[y]:
-            d |= down[c]
-        down[y] = d
+    return _closure(parents)
+
+
+def _closure(parents):
+    """(down, up) of _transitive_closure, from the upper covers of each
+    position: down pushed up the covers, up pulled down them."""
+    n = len(parents)
+    down = [1 << i for i in range(n)]
+    for x, ps in enumerate(parents):
+        d = down[x]
+        for y in ps:
+            down[y] |= d
+    up = [1 << i for i in range(n)]
     for x in range(n - 1, -1, -1):
         u = up[x]
         for p in parents[x]:
@@ -266,28 +286,36 @@ def _transitive_closure(n, covers):
     return down, up
 
 
-def _cover_scan(n, covers, up, rank):
+def _cover_scan(parents, rank):
     """Check the join of every two upper covers of a common element.
 
-    Positions must refine rank order and the poset must have a unique
-    bottom and top.  Returns (join_fail, semi_fail): join_fail is the
-    first cover pair without a join (the scan stops there), semi_fail
-    maps each join position j, in scan order, to the first pair whose
-    join is j and does not sit two ranks above the element they cover.
+    parents[z] lists the upper covers of position z.  Positions must
+    refine rank order and the poset must have a unique bottom and top.
+    Returns (join_fail, semi_fail): join_fail is the first cover pair
+    without a join (the scan stops there), semi_fail maps each join
+    position j, in scan order, to the first pair whose join is j and
+    does not sit two ranks above the element they cover.
+
+    The scan keeps its own up-sets with position p at bit n - 1 - p, so
+    the least position j of an intersection is read off its bit length
+    rather than found by a lowest-bit search over the whole mask.
     """
-    parents = [[] for _ in range(n)]
-    for x, y in covers:
-        parents[x].append(y)
+    n = len(parents)
+    rup = [1 << (n - 1 - p) for p in range(n)]
+    for x in range(n - 1, -1, -1):
+        r = rup[x]
+        for p in parents[x]:
+            r |= rup[p]
+        rup[x] = r
     semi_fail = {}
-    for z in range(n):
-        ps = parents[z]
+    for z, ps in enumerate(parents):
         rz2 = rank[z] + 2
         for i, x in enumerate(ps):
-            ux = up[x]
+            rx = rup[x]
             for y in ps[i + 1:]:
-                u = ux & up[y]
-                j = (u & -u).bit_length() - 1
-                if up[j] != u:
+                u = rx & rup[y]
+                j = n - u.bit_length()
+                if rup[j] != u:
                     return (x, y), None
                 if rank[j] != rz2:
                     semi_fail.setdefault(j, (x, y))
@@ -306,6 +334,56 @@ def _refuse_dense(n, c):
             f"{c} covers on {n} elements, over the {most} a lattice can have")
 
 
+def _shown(value):
+    """A cover entry for a message: one too long to print exactly is
+    worded by the power of two its size reaches."""
+    try:
+        return str(value)
+    except ValueError:  # past the int-to-str digit limit
+        power = f"2^{abs(value).bit_length() - 1}"
+        return f"<=-{power}" if value < 0 else f">={power}"
+
+
+def _check_each_cover(n_elems, covers):
+    """Raise ValueError naming the first cover that is out of range, a
+    self-loop or a repeat."""
+    seen = set()
+    for pair in covers:
+        x, y = pair
+        if not (0 <= x < n_elems and 0 <= y < n_elems):
+            try:
+                shown = str(pair)
+            except ValueError:  # an entry past the int-to-str digit limit
+                shown = f"({_shown(x)}, {_shown(y)})"
+            raise ValueError(f"cover {shown} out of range")
+        if x == y:
+            raise ValueError(f"cover {pair} is a self-loop")
+        if (x, y) in seen:
+            raise ValueError(f"duplicate cover {pair}")
+        seen.add((x, y))
+
+
+def _cover_ends(n_elems, covers):
+    """(xs, ys): the lower and the upper end of each cover, checked.
+
+    Whole-list tests come first (tuple pairs of ints in range, no
+    self-loop, no repeat); only when one fails are the pairs checked one
+    by one, which names the first bad pair and lets through what the
+    tests are too strict for, such as list pairs or bools."""
+    covers = list(covers)
+    if set(map(type, covers)) <= {tuple} and set(map(len, covers)) <= {2}:
+        flat = list(chain.from_iterable(covers))
+        xs, ys = flat[::2], flat[1::2]
+        if (set(map(type, flat)) <= {int}
+                and min(flat, default=0) >= 0
+                and max(flat, default=0) < n_elems
+                and not any(map(eq, xs, ys))
+                and len(set(covers)) == len(covers)):
+            return xs, ys
+    _check_each_cover(n_elems, covers)
+    return [x for x, _y in covers], [y for _x, y in covers]
+
+
 def build_lattice(n_elems, covers, labels=None):
     """Validate a cover relation and build the lattice it generates.
 
@@ -318,70 +396,73 @@ def build_lattice(n_elems, covers, labels=None):
         raise ValueError("a lattice needs at least one element")
     if labels is not None and len(labels) != n_elems:
         raise ValueError("labels length must equal n_elems")
-    seen = set()
-    for pair in covers:
-        x, y = pair
-        if not (0 <= x < n_elems and 0 <= y < n_elems):
-            raise ValueError(f"cover {pair} out of range")
-        if x == y:
-            raise ValueError(f"cover {pair} is a self-loop")
-        if (x, y) in seen:
-            raise ValueError(f"duplicate cover {pair}")
-        seen.add((x, y))
-    _refuse_dense(n_elems, len(seen))
-    covers = tuple(sorted(seen))
+    xs, ys = _cover_ends(n_elems, covers)
+    _refuse_dense(n_elems, len(xs))
 
-    children = [[] for _ in range(n_elems)]
-    parents = [[] for _ in range(n_elems)]
-    for x, y in covers:
-        children[y].append(x)
+    parents = [[] for _ in range(n_elems)]  # upper covers, by index
+    lower = [0] * n_elems  # number of lower covers
+    for x, y in zip(xs, ys):
         parents[x].append(y)
+        lower[y] += 1
+    for ps in parents:
+        ps.sort()
+    covers = tuple((x, y) for x, ps in enumerate(parents) for y in ps)
 
-    # Kahn topological sort doubles as the cycle check
-    indeg = [len(children[v]) for v in range(n_elems)]
-    queue = [v for v in range(n_elems) if indeg[v] == 0]
-    topo = []
+    # Kahn's topological sort is the cycle check; it pushes ranks up
+    # the covers, so an element's rank is final when it is queued
+    rank = [0] * n_elems
+    indeg = lower.copy()
+    minima = [v for v in range(n_elems) if not lower[v]]
+    queue = minima.copy()
+    settled = 0
     while queue:
         v = queue.pop()
-        topo.append(v)
+        settled += 1
+        r = rank[v] + 1
         for p in parents[v]:
+            if rank[p] < r:
+                rank[p] = r
             indeg[p] -= 1
-            if indeg[p] == 0:
+            if not indeg[p]:
                 queue.append(p)
-    if len(topo) != n_elems:
+    if settled != n_elems:
         raise Cyclic("cover relation contains a cycle")
 
-    minima = [v for v in range(n_elems) if not children[v]]
     if len(minima) != 1:
-        raise MultipleMinima(f"minimal elements {sorted(minima)}")
+        raise MultipleMinima(f"minimal elements {minima}")
     maxima = [v for v in range(n_elems) if not parents[v]]
     if len(maxima) != 1:
-        raise MultipleMaxima(f"maximal elements {sorted(maxima)}")
+        raise MultipleMaxima(f"maximal elements {maxima}")
     bottom, top = minima[0], maxima[0]
 
-    rank = [0] * n_elems
-    for v in topo:
-        for c in children[v]:
-            if rank[c] + 1 > rank[v]:
-                rank[v] = rank[c] + 1
-    for x, y in covers:
-        if rank[y] != rank[x] + 1:
-            raise NotGraded(
-                f"cover ({x}, {y}) skips ranks {rank[x]} -> {rank[y]}")
+    # every cover climbs at least one rank, so each climbs exactly one
+    # iff the climbs add up to the number of covers
+    climb = sum(map(mul, rank, lower)) - sum(map(mul, rank, map(len, parents)))
+    if climb != len(covers):
+        for x, y in covers:
+            if rank[y] != rank[x] + 1:
+                raise NotGraded(
+                    f"cover ({x}, {y}) skips ranks {rank[x]} -> {rank[y]}")
 
-    order = sorted(range(n_elems), key=lambda v: (rank[v], v))
+    buckets = [[] for _ in range(rank[top] + 1)]
+    for v in range(n_elems):
+        buckets[rank[v]].append(v)
+    order = list(chain.from_iterable(buckets))
     pos_of = [0] * n_elems
     for p, idx in enumerate(order):
         pos_of[idx] = p
-    pos_covers = [(pos_of[x], pos_of[y]) for x, y in covers]
-    pos_rank = [rank[idx] for idx in order]
+    pos_parents = [[pos_of[y] for y in parents[idx]] for idx in order]
+    pos_rank = list(map(rank.__getitem__, order))
 
-    down, up = _transitive_closure(n_elems, pos_covers)
-    join_fail, semi_fail = _cover_scan(n_elems, pos_covers, up, pos_rank)
+    down, up = _closure(pos_parents)
+    join_fail, semi_fail = _cover_scan(pos_parents, pos_rank)
     if join_fail is not None:
         a, b = (order[join_fail[0]], order[join_fail[1]])
         raise NotALattice(f"elements {a} and {b} have no join")
 
+    # rank >= 2 and a single lower cover: not a join of atoms
+    lone = sum(1 << p for p, idx in enumerate(order)
+               if lower[idx] == 1 and rank[idx] >= 2)
     return FiniteLattice(
         n=n_elems,
         covers=covers,
@@ -394,6 +475,7 @@ def build_lattice(n_elems, covers, labels=None):
         down=down,
         up=up,
         semi_fail=semi_fail,
+        lone=lone,
     )
 
 
@@ -421,6 +503,16 @@ def _json_size(data):
     return n
 
 
+def _check_each_json_pair(covers):
+    """Raise ValueError naming the first entry of a lattice-JSON
+    "covers" list that is not a pair of integers."""
+    for i, pair in enumerate(covers):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(map(_is_index, pair))):
+            raise ValueError(
+                f'lattice JSON "covers"[{i}] must be a pair of integers')
+
+
 def lattice_from_json(data):
     """Build from the plain-dict form; "n" and every cover entry must
     be integers, "covers" a list of pairs and "labels", when present, a
@@ -433,17 +525,17 @@ def lattice_from_json(data):
         raise ValueError('lattice JSON "covers" must be a list of pairs')
     if n >= 1:  # refused by count before each pair is checked
         _refuse_dense(n, len(covers))
-    for i, pair in enumerate(covers):
-        if not (isinstance(pair, list) and len(pair) == 2
-                and all(map(_is_index, pair))):
-            raise ValueError(
-                f'lattice JSON "covers"[{i}] must be a pair of integers')
+    # whole-list tests; the pairs are walked only to name a bad one
+    if not (set(map(type, covers)) <= {list}
+            and set(map(len, covers)) <= {2}
+            and set(map(type, chain.from_iterable(covers))) <= {int}):
+        _check_each_json_pair(covers)
     labels = data.get("labels")
     if "labels" in data and not (isinstance(labels, list)
                                  and len(labels) == n):
         raise ValueError(
             'lattice JSON "labels" must be a list with one entry per element')
-    return build_lattice(n, [tuple(pair) for pair in covers], labels)
+    return build_lattice(n, list(map(tuple, covers)), labels)
 
 
 @contextlib.contextmanager

@@ -116,7 +116,10 @@ def check_alternating_sequences(fast=False):
         except GeomsieveError as exc:
             return False, f"trial {i}: {exc}"
     for name, lat in zoo_lattices(fast):
-        report = verify_brun(lat)
+        try:
+            report = verify_brun(lat)
+        except GeomsieveError as exc:
+            return False, f"{name}: {exc}"
         if lat.top_rank == 0:
             # one-element lattice: the alternating sum is 1, so the
             # sequence-level hypotheses do not apply

@@ -109,6 +109,35 @@ def all_pairs_verdict(n, rel, rank):
                  for pair in result)
 
 
+def check_json_covers(covers):
+    """Pair-by-pair check of a lattice-JSON "covers" list: the reference
+    for lattice_from_json's whole-list tests.  Raises the ValueError
+    that names the first entry that is not a pair of integers."""
+    for i, pair in enumerate(covers):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(v, int) and not isinstance(v, bool)
+                        for v in pair)):
+            raise ValueError(
+                f'lattice JSON "covers"[{i}] must be a pair of integers')
+
+
+def check_covers(n_elems, covers):
+    """Pair-by-pair check of a cover list: the reference for
+    build_lattice's whole-list tests.  Raises the error of the first
+    pair that does not unpack, is out of range, a self-loop or a
+    repeat; bools and floats in range pass."""
+    seen = set()
+    for pair in covers:
+        x, y = pair
+        if not (0 <= x < n_elems and 0 <= y < n_elems):
+            raise ValueError(f"cover {pair} out of range")
+        if x == y:
+            raise ValueError(f"cover {pair} is a self-loop")
+        if (x, y) in seen:
+            raise ValueError(f"duplicate cover {pair}")
+        seen.add((x, y))
+
+
 def naive_mobius_matrix(n, rel):
     """mu(x, y) for all pairs by inverting zeta row by row."""
     mu = {}

@@ -163,10 +163,10 @@ def test_verify_check_catches_a_wrong_mobius_value(monkeypatch):
 
 def test_alternating_sums_check_catches_a_wrong_mobius_value(monkeypatch):
     # the random sequences pass, then the lattice-level verifier refuses
-    # boolean:4, and run_checks reports its error as the check's failure
+    # boolean:4, and the check names that lattice in its failure
     _mobius_off_by_one_at_rank_4(monkeypatch)
     [result] = verify.run_checks("sequences", fast=True)
     assert result.name == "alternating-sums"
     assert result.ok is False
-    assert result.detail == ("error: Mobius sums over the whole lattice "
+    assert result.detail == ("boolean:4: Mobius sums over the whole lattice "
                              "must vanish")

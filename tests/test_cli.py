@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -11,12 +12,13 @@ from decimal import Decimal
 import pytest
 
 import geomsieve
-from geomsieve import dowling, generators, poset
+from geomsieve import cli, dowling, generators, poset
 from geomsieve.cli import main
 from geomsieve.poset import _exact_digits, lattice_from_json, lattice_to_json
 from geomsieve.sieve import sieve_instance_to_json
 
 import oracles
+from test_kernels import ZOO
 
 
 def run_cli(capsys, *argv):
@@ -129,6 +131,34 @@ def test_lattice_json_field_types_refused(capsys, tmp_path, blob, field):
     code, out, err = run_cli(capsys, "lattice-check", str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: lattice JSON {field} must be")
+
+
+def test_lattice_check_cover_entry_past_digit_limit(capsys, tmp_path):
+    # the entry is read as its lower bound 10^4399, at least 2^14613
+    path = tmp_path / "huge_cover.json"
+    path.write_text('{"n": 3, "covers": [[0, 1], [1, ' + "9" * 4400 + "]]}",
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "lattice-check", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: cover (1, >=2^14613) out of range\n"
+
+
+@pytest.mark.parametrize("name", ZOO)
+def test_lattice_check_file_matches_generator_name(capsys, tmp_path, name):
+    # a lattice written to a file and read back goes through the same
+    # build as the name, so the two reports agree but for "source"
+    path = tmp_path / "zoo.json"
+    path.write_text(json.dumps(lattice_to_json(generators.parse_named(name))),
+                    encoding="utf-8")
+    by_name = run_cli(capsys, "lattice-check", name)
+    by_file = run_cli(capsys, "lattice-check", str(path))
+
+    def masked(out):
+        return re.sub(r'"source": "(?:[^"\\]|\\.)*"', '"source": null', out)
+
+    assert by_file[0] == by_name[0]
+    assert masked(by_file[1]) == masked(by_name[1])
+    assert by_file[1] != by_name[1]  # the mask had something to hide
 
 
 def test_lattice_check_unknown_generator(capsys):
@@ -325,6 +355,25 @@ def test_sieve_run_refuses_values_past_digit_limit(capsys, tmp_path,
     assert err.startswith(f"error: {key}")
     assert "4301-digit integer" in err and "Exceeds" not in err
     assert err.count("\n") == 1
+
+
+def test_json_files_parsed_without_int_hook(capsys, tmp_path, monkeypatch):
+    # the per-integer hooks run only for an integer past the digit
+    # limit, so ordinary files are parsed by the C decoder alone
+    def refuse(_text):
+        raise AssertionError("per-integer hook called")
+
+    monkeypatch.setattr(cli, "_json_int", refuse)
+    monkeypatch.setattr(cli, "_exact_json_int", refuse)
+    lattice_path = tmp_path / "b3.json"
+    lattice_path.write_text(json.dumps(lattice_to_json(
+        generators.parse_named("boolean:3"))), encoding="utf-8")
+    sieve_path = tmp_path / "sieve.json"
+    sieve_path.write_text(json.dumps({"lattice": "boolean:2", "A": "all",
+                                      "T": [1], "f": [1, 1, 1], "X": 1}),
+                          encoding="utf-8")
+    assert run_cli(capsys, "lattice-check", str(lattice_path))[0] == 0
+    assert run_cli(capsys, "sieve-run", str(sieve_path))[0] == 0
 
 
 def test_verify_all_fast_scope_text(capsys):

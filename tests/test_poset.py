@@ -108,6 +108,82 @@ def test_cover_input_validation():
         build_lattice(0, [])
 
 
+def _raised(fn, *args):
+    """(type, message) of the exception fn(*args) raises, or None."""
+    try:
+        fn(*args)
+    except Exception as exc:  # compared by the caller, not handled
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def malformed_covers(draw):
+    """(n, covers): a few distinct covers on n elements with one or two
+    defects put in (an entry out of range, a self-loop, a repeat, a
+    bool, a float, a pair of the wrong length), each pair a list or a
+    tuple."""
+    n = draw(st.integers(4, 8))
+    index = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(index, index).filter(
+        lambda p: p[0] != p[1]), max_size=6, unique=True))
+    defects = st.one_of(
+        st.tuples(index, st.one_of(st.integers(max_value=-1),
+                                   st.integers(min_value=n))),
+        index.map(lambda v: (v, v)),
+        st.tuples(index, st.booleans()),
+        st.tuples(index, st.floats(-1, n, allow_nan=False)),
+        st.lists(index, max_size=4).filter(lambda p: len(p) != 2).map(tuple),
+    )
+    for _ in range(draw(st.integers(1, 2))):
+        if pairs and draw(st.booleans()):  # repeat an earlier pair
+            i = draw(st.integers(0, len(pairs) - 1))
+            pairs.insert(draw(st.integers(i + 1, len(pairs))), pairs[i])
+        else:
+            pair = draw(defects)
+            if draw(st.booleans()):
+                pair = pair[::-1]
+            pairs.insert(draw(st.integers(0, len(pairs))), pair)
+    return n, [list(p) if draw(st.booleans()) else p for p in pairs]
+
+
+def _json_reference(n, covers):
+    oracles.check_json_covers(covers)
+    oracles.check_covers(n, [tuple(p) for p in covers])
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_covers())
+def test_cover_refusals_match_pair_by_pair_reference(case):
+    # The whole-list tests refuse what the pair-by-pair reference
+    # refuses, with the same error for the same first bad pair.
+    n, covers = case
+    expected = _raised(oracles.check_covers, n, covers)
+    got = _raised(build_lattice, n, covers)
+    if expected is not None:
+        assert got == expected
+    else:  # bools and floats in range pass the check, as they always did
+        assert got is None or got[0] is not ValueError
+    for entries in (covers, [list(p) for p in covers]):
+        expected = _raised(_json_reference, n, entries)
+        assert expected is not None
+        assert _raised(lattice_from_json,
+                       {"n": n, "covers": entries}) == expected
+
+
+def test_cover_entry_past_digit_limit_worded_as_power_of_two():
+    # past the int-to-str digit limit the value cannot be printed, so
+    # the refusal gives the power of two its size reaches
+    big = 10 ** 4399
+    k = big.bit_length() - 1
+    with pytest.raises(ValueError, match=(
+            rf"^cover \(1, >=2\^{k}\) out of range$")):
+        lattice_from_json({"n": 3, "covers": [[0, 1], [1, big]]})
+    with pytest.raises(ValueError, match=(
+            rf"^cover \(<=-2\^{k}, 1\) out of range$")):
+        build_lattice(3, [(0, 1), (-big, 1)])
+
+
 def test_one_element_lattice_is_legal():
     lat = build_lattice(1, [])
     assert lat.bottom == lat.top == 0
