@@ -7,6 +7,8 @@ generating function exp(rz + (e^{mz} - 1)/m)) satisfy
 
 where delta is the unique positive root of delta (r + e^{m delta}) = n,
 g0 = r delta + (e^{m delta} - 1)/m and g2 = (n + m delta^2 e^{m delta})/2.
+solve_delta() reaches delta by one Newton iteration, which starts
+above the root at W(mn)/m and falls monotonically onto it.
 Everything is evaluated in log space with mpmath working precision,
 so n can be large.  compare_exact() measures the approximation against
 the exact D_{m,r}(n), streamed by dowling's shift recurrence, and
@@ -31,8 +33,8 @@ __all__ = [
     "AsymComparison",
 ]
 
-_EXACT_FACTORIAL_MAX = 10_000
 _DIGITS_CAP = 1000
+_NEWTON_STEPS = 100
 
 
 def _validate(m, r, n, digits):
@@ -45,62 +47,42 @@ def _validate(m, r, n, digits):
                        "working precision")
 
 
-def solve_delta(m, r, n, *, digits=50, max_iter=200):
-    """Unique positive root of delta (r + e^{m delta}) = n.
+def solve_delta(m, r, n, *, digits=50):
+    """Unique positive root of phi(delta) = delta (r + e^{m delta}) - n.
 
-    Bisection brackets the root, Newton polishes it to relative
-    tolerance 1e-30, or 256 ulps where the precision is too low for
-    that; exceeding the iteration budget raises NoConvergence.
+    phi is increasing and convex on delta >= 0, so Newton started at
+    any point where phi >= 0 falls monotonically onto the root.  It
+    starts at d0 = W(mn)/m (W the principal Lambert W): there
+    m d0 e^{m d0} = mn, so d0 e^{m d0} = n and phi(d0) = r d0 >= 0.
+    Newton stops at a relative step of 256 ulps of the working
+    precision (digits + 15 places); more than _NEWTON_STEPS steps
+    raise NoConvergence.
     """
     _validate(m, r, n, digits)
     import mpmath as mp
 
     with mp.workdps(digits + 15):
         nn = mp.mpf(n)
-
-        def phi(d):
-            return d * (r + mp.exp(m * d)) - nn
-
-        def dphi(d):
+        tol = 256 * mp.eps
+        d = mp.lambertw(m * nn) / m
+        for _ in range(_NEWTON_STEPS):
             e = mp.exp(m * d)
-            return r + e + m * d * e
-
-        iters = 0
-        lo = mp.mpf(0)
-        hi = mp.mpf(1)
-        while phi(hi) < 0:
-            lo = hi
-            hi *= 2
-            iters += 1
-            if iters > max_iter:
-                raise NoConvergence("bracketing failed")
-        for _ in range(40):
-            iters += 1
-            if iters > max_iter:
-                raise NoConvergence("bisection budget exhausted")
-            mid = (lo + hi) / 2
-            if phi(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        d = (lo + hi) / 2
-        tol = max(mp.mpf(10) ** -30, 256 * mp.eps)
-        while True:
-            iters += 1
-            if iters > max_iter:
-                raise NoConvergence("Newton budget exhausted")
-            step = phi(d) / dphi(d)
+            step = (d * (r + e) - nn) / (r + e + m * d * e)
             d -= step
-            if abs(step) <= abs(d) * tol:
+            if abs(step) <= d * tol:
                 break
-        if n > math.exp(m) and not d <= mp.log(nn) / m + tol:
+        else:
+            raise NoConvergence("Newton budget exhausted")
+        if math.log(n) > m and not d <= mp.log(nn) / m + tol:
             raise NoConvergence("root outside its proven range")
         return d
 
 
 class SaddleData(namedtuple("SaddleData",
                             "m r n digits delta g0 g2 log_asymptotic")):
-    """Saddle-point quantities; all mpf values carry `digits` precision."""
+    """Saddle-point quantities; all mpf values carry `digits` precision,
+    since delta is solved to the digits + 15 working places and the
+    rest is evaluated at them."""
 
     __slots__ = ()
 
@@ -108,9 +90,8 @@ class SaddleData(namedtuple("SaddleData",
 def saddle_values(m, r, n, *, digits=50):
     """delta, g0, g2 and the log of the saddle-point approximation.
 
-    log_asymptotic = g0 + log n! - n log delta - (1/2) log(4 pi g2).
-    log n! is exact (big-integer factorial) up to n = 10^4 and
-    loggamma beyond.
+    log_asymptotic = g0 + log n! - n log delta - (1/2) log(4 pi g2),
+    with log n! = loggamma(n + 1).
     """
     _validate(m, r, n, digits)
     import mpmath as mp
@@ -120,11 +101,7 @@ def saddle_values(m, r, n, *, digits=50):
         e = mp.exp(m * delta)
         g0 = r * delta + (e - 1) / m
         g2 = (n + m * delta * delta * e) / 2
-        if n <= _EXACT_FACTORIAL_MAX:
-            logfact = mp.log(mp.mpf(math.factorial(n)))
-        else:
-            logfact = mp.loggamma(n + 1)
-        log_asym = g0 + logfact - n * mp.log(delta) \
+        log_asym = g0 + mp.loggamma(n + 1) - n * mp.log(delta) \
             - mp.log(4 * mp.pi * g2) / 2
         return SaddleData(m=m, r=r, n=n, digits=digits, delta=delta,
                           g0=g0, g2=g2, log_asymptotic=log_asym)

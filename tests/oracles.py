@@ -217,6 +217,29 @@ def r_dowling_numbers(m, r, n_max):
     return out
 
 
+def bisect_delta(m, r, n, digits):
+    """The positive root of delta (r + e^{m delta}) = n to 10^-(digits
+    + 10) relative, by doubling an upper end until it brackets the root
+    and then bisecting the bracket; no derivative is used."""
+    import mpmath as mp
+
+    with mp.workdps(digits + 20):
+        def phi(d):
+            return d * (r + mp.exp(m * d)) - n
+
+        lo, hi = mp.mpf(0), mp.mpf(1)
+        while phi(hi) < 0:
+            lo, hi = hi, 2 * hi
+        tol = mp.mpf(10) ** -(digits + 10)
+        while hi - lo > lo * tol:
+            mid = (lo + hi) / 2
+            if phi(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
 def stirling1_signed(n_max):
     """Signed Stirling numbers of the first kind s(n, k)."""
     rows = [[1]]

@@ -4,6 +4,7 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomsieve import asym, dowling, verify
 from geomsieve.asym import compare_exact, saddle_values, solve_delta
@@ -11,7 +12,7 @@ from geomsieve.cli import main
 from geomsieve.dowling import r_dowling_number
 from geomsieve.errors import NoConvergence, TooLarge
 
-from oracles import bell_numbers, r_dowling_numbers
+from oracles import bell_numbers, bisect_delta, r_dowling_numbers
 
 # Relative errors of the approximation, pinned once from a verified run
 # at 50 working digits.  The checks below assert agreement to 1e-6
@@ -73,9 +74,35 @@ def test_solve_delta_upper_range():
             assert d <= mp.log(n) / m + mp.mpf(10) ** -25
 
 
-def test_solve_delta_budget_exhaustion():
-    with pytest.raises(NoConvergence):
-        solve_delta(1, 1, 10**6, max_iter=3)
+def test_solve_delta_budget_exhaustion(monkeypatch):
+    # from W(mn)/m the root of (1, 1, 10^6) at 65 places takes five
+    # Newton steps, so a budget of three runs out
+    monkeypatch.setattr(asym, "_NEWTON_STEPS", 3)
+    with pytest.raises(NoConvergence, match="^Newton budget exhausted$"):
+        solve_delta(1, 1, 10**6)
+
+
+@pytest.mark.parametrize("digits", [100, 200, 1000])
+def test_solve_delta_accurate_to_the_digits_asked(digits):
+    # Newton's error is the residual over the slope, |phi| / phi';
+    # relative to d it must sit below the last digit asked for
+    for m, r, n in ((2, 3, 777), (1, 10**6, 10**6), (50, 1, 10**30)):
+        d = solve_delta(m, r, n, digits=digits)
+        with mp.workdps(digits + 40):
+            e = mp.exp(m * d)
+            phi = d * (r + e) - n
+            dphi = r + e + m * d * e
+            assert abs(phi) / (d * dphi) < mp.mpf(10) ** -digits, (m, r, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 50), st.integers(1, 10**6), st.integers(1, 10**30),
+       st.integers(1, 120))
+def test_solve_delta_matches_bisection(m, r, n, digits):
+    d = solve_delta(m, r, n, digits=digits)
+    ref = bisect_delta(m, r, n, digits)
+    with mp.workdps(digits + 20):
+        assert abs(d - ref) < ref * mp.mpf(10) ** -digits
 
 
 def test_validation_rejects_bad_arguments():
@@ -125,6 +152,21 @@ def test_saddle_values_formulas():
             assert abs(data.g2 - g2) <= abs(g2) * mp.mpf(10) ** -30
 
 
+def test_log_asymptotic_matches_the_exact_factorial():
+    # log n! comes from loggamma(n + 1); against the log of the exact
+    # big-integer n! it agrees to the digits asked for
+    for m, r, n in [(1, 1, 1), (2, 3, 50), (3, 2, 400), (1, 5, 10**4)]:
+        data = saddle_values(m, r, n, digits=80)
+        with mp.workdps(120):
+            e = mp.exp(m * data.delta)
+            g2 = (n + m * data.delta ** 2 * e) / 2
+            expected = (r * data.delta + (e - 1) / m
+                        + mp.log(math.factorial(n))
+                        - n * mp.log(data.delta) - mp.log(4 * mp.pi * g2) / 2)
+            assert abs(data.log_asymptotic - expected) \
+                <= abs(expected) * mp.mpf(10) ** -80, n
+
+
 def test_g2_between_half_n_and_n_log_n():
     for m, r in [(1, 1), (2, 1), (1, 3)]:
         for n in [10, 50, 400]:
@@ -136,7 +178,6 @@ def test_g2_between_half_n_and_n_log_n():
 def test_log_asymptotic_finite_for_large_n():
     data = saddle_values(1, 1, 10**4)
     assert mp.isfinite(data.log_asymptotic)
-    # Also past the exact-factorial cutoff, where loggamma takes over.
     big = saddle_values(2, 3, 10**5)
     assert mp.isfinite(big.log_asymptotic)
     assert big.log_asymptotic > data.log_asymptotic
@@ -253,9 +294,9 @@ def test_digits_parameter_controls_precision():
 
 @pytest.mark.parametrize("digits", range(1, 21))
 def test_solve_delta_converges_at_low_digits(digits):
-    # Below about 30 working places Newton cannot reach a 1e-30 step,
-    # so the tolerance follows the working precision.  The root still
-    # agrees with the 50-digit one to 10 places beyond those asked for.
+    # Newton stops at a step of 256 ulps of the digits + 15 working
+    # places, so the root agrees with the 50-digit one to 10 places
+    # beyond those asked for.
     for m, r in ((1, 1), (2, 1), (1, 2), (2, 3)):
         for n in (1, 7, 50, 400, 10**5):
             d = solve_delta(m, r, n, digits=digits)

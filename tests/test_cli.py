@@ -642,6 +642,19 @@ def test_asym_dowling_without_compare(capsys):
     assert float(data["g2"]) >= 50.0
 
 
+@pytest.mark.parametrize("compare", [False, True], ids=["saddle", "exact"])
+@pytest.mark.parametrize("m", [710, 1000])
+def test_asym_dowling_past_the_float_exponent_range(capsys, m, compare):
+    # e^m overflows a float from m = 710 on; the solver's range check
+    # compares log n with m instead
+    code, data, err = run_json(capsys, "asym", "dowling", "--m", str(m),
+                               "--r", "1", "--n", "5",
+                               *(["--compare-exact"] if compare else []))
+    assert code == 0, err
+    assert 0 < float(data["delta"]) < 5
+    assert ("log_exact" in data) is compare
+
+
 def test_asym_dowling_bad_arguments(capsys):
     code, _out, err = run_cli(capsys, "asym", "dowling", "--m", "0",
                               "--r", "1", "--n", "10")
