@@ -11,7 +11,10 @@ and the top is the empty partial partition.
 
 Each element is held as its canonical key (blocks, exps): blocks[i] is
 a sorted tuple of elements, exps[i] the parallel tuple of exponents,
-and the blocks are ordered by least element.
+and the blocks are ordered by least element.  While the lattice is
+built, and only then, a block is also coded as one integer and an
+element as the tuple of its block codes, so that every cover is a
+tuple slice and one lookup (see _code_keys).
 
 The triangle side is independent of the lattice side: first-kind rows
 w_m(n, k) and shifted second-kind rows W_{m,r}(n, k) come from their
@@ -59,66 +62,84 @@ __all__ = [
 
 
 # -- canonical keys ----------------------------------------------------------
+#
+# The block with elements x and exponents e_x is coded as the sum of
+# (e_x + 1) 2^(w x), w = m.bit_length(): each element owns a w-bit field
+# that is 0 outside the block.  Codes of disjoint blocks or-merge, and
+# shifting a block's labels maps its code to one of m codes.  The codes
+# exist only inside _qn_data: its cache holds the keys, the index and
+# the lattice, never a code.
 
-def _label(blocks, exps):
-    """Block notation of a key: "0^0,2^1|1^0", or "~" for the top."""
-    if not blocks:
-        return "~"
-    return "|".join(",".join(f"{x}^{e}" for x, e in zip(b, ex))
-                    for b, ex in zip(blocks, exps))
+def _code_keys(n, m):
+    """Every element of Q_n(Z_m) as the tuple of its block codes in
+    least-element order, in element order, and a table
+    code -> (elements, exponents) of every canonical block.
+
+    Element x goes to the zero block, then starts a block, then joins
+    each block in turn with each exponent; growing all keys one element
+    at a time keeps that order.
+    """
+    w = m.bit_length()
+    keys = [()]
+    blocks = {}
+    for x in range(n):
+        one = 1 << (w * x)
+        fields = range(one, (m + 1) * one, one)  # (t + 1) << (w x), lazily
+        nxt = []
+        for key in keys:
+            nxt.append(key)
+            nxt.append(key + (fields[0],))
+            nxt += [key[:j] + (key[j] | f,) + key[j + 1:]
+                    for j in range(len(key)) for f in fields]
+        keys = nxt
+        blocks.update([(code | f, (xs + (x,), es + (t,)))
+                       for code, (xs, es) in blocks.items()
+                       for t, f in enumerate(fields)])
+        blocks[fields[0]] = (x,), (0,)
+    return keys, blocks
 
 
-def _upper_keys(blocks, exps, m):
-    """The keys covering the key (blocks, exps) in Q_n(Z_m), in a fixed
-    order: each block absorbed into the zero block, then each pair of
-    blocks i < j merged with j's labels shifted by t = 0..m-1."""
-    out = [(blocks[:i] + blocks[i + 1:], exps[:i] + exps[i + 1:])
-           for i in range(len(blocks))]
-    for i, (bi, ei) in enumerate(zip(blocks, exps)):
-        for j in range(i + 1, len(blocks)):
-            head_b, tail_b = blocks[:i], blocks[i + 1:j] + blocks[j + 1:]
-            head_e, tail_e = exps[:i], exps[i + 1:j] + exps[j + 1:]
-            for t in range(m):
-                mb, me = zip(*sorted(zip(
-                    bi + blocks[j], ei + tuple((e + t) % m for e in exps[j]))))
-                out.append((head_b + (mb,) + tail_b, head_e + (me,) + tail_e))
-    return out
-
-
-def _enumerate_partial(n, m):
-    """Keys (blocks, exps) of all elements, deterministically ordered."""
-    out = []
-    blocks = []
-
-    def rec(i):
-        if i == n:
-            out.append((tuple(tuple(b) for b, _ in blocks),
-                        tuple(tuple(e) for _, e in blocks)))
-            return
-        rec(i + 1)  # i goes to the zero block
-        blocks.append(([i], [0]))  # i starts a new block
-        rec(i + 1)
-        blocks.pop()
-        for b, e in blocks:  # i joins an existing block
-            for t in range(m):
-                b.append(i)
-                e.append(t)
-                rec(i + 1)
-                b.pop()
-                e.pop()
-
-    rec(0)
-    return out
+def _shifted_codes(xs, es, m):
+    """The m codes of block (xs, es) with every label shifted by t."""
+    w = m.bit_length()
+    return tuple(sum(((e + t) % m + 1) << (w * x) for x, e in zip(xs, es))
+                 for t in range(m))
 
 
 @lru_cache(maxsize=None)
 def _qn_data(n, m):
-    """(keys, key -> index, lattice) for Q_n(Z_m)."""
-    keys = _enumerate_partial(n, m)
+    """(keys, key -> index, lattice) for Q_n(Z_m).
+
+    The covers are found on code keys: absorbing block a into the zero
+    block drops its code, and merging block b into an earlier block a
+    with b's labels shifted by t puts a's code or b's t-th shifted code
+    in a's place, so every cover is a slice of the key and one lookup.
+    The shifted codes are formed once per block, and all codes are
+    dropped once the keys are formed.
+    """
+    codes, blocks = _code_keys(n, m)
+    where = {code: i for i, code in enumerate(codes)}
+    # a block holding 0 is never merged into an earlier one; so with
+    # n = 1, where the size cap admits any m, no m shifts are formed
+    shifts = {c: _shifted_codes(xs, es, m)
+              for c, (xs, es) in blocks.items() if xs[0]}
+    covers = [(i, where[code[:a] + code[a + 1:]])
+              for i, code in enumerate(codes) for a in range(len(code))]
+    covers += [(i, where[code[:a] + (code[a] | s,) + code[a + 1:b]
+                         + code[b + 1:]])
+               for i, code in enumerate(codes)
+               for a in range(len(code))
+               for b in range(a + 1, len(code))
+               for s in shifts[code[b]]]
+    text = {c: ",".join(map("{}^{}".format, xs, es))
+            for c, (xs, es) in blocks.items()}
+    labels = ["|".join(map(text.__getitem__, code)) or "~" for code in codes]
+    elems = {c: xs for c, (xs, _es) in blocks.items()}
+    exps = {c: es for c, (_xs, es) in blocks.items()}
+    keys = [(tuple(map(elems.__getitem__, code)),
+             tuple(map(exps.__getitem__, code))) for code in codes]
     index = {key: i for i, key in enumerate(keys)}
-    covers = [(i, index[up]) for i, key in enumerate(keys)
-              for up in _upper_keys(*key, m)]
-    lat = build_lattice(len(keys), covers, [_label(*key) for key in keys])
+    lat = build_lattice(len(keys), covers, labels)
     return keys, index, lat
 
 
@@ -184,7 +205,10 @@ def _next_row(prev, coefs):
     return tuple(a + c * b for a, b, c in zip((0,) + prev, prev + (0,), coefs))
 
 
-_TRIANGLE_N_CAP = 500  # rows 0..500 of one triangle hold about 70 MB
+# Rows are streamed, so the cap bounds time, not memory: forming rows
+# 0..500 takes about 0.05 s, and `dowling table --kind second --m 2
+# --nmax 500` writes them (52 MB of CSV) in about 2.6 s (Python 3.11.7).
+_TRIANGLE_N_CAP = 500
 
 
 def _rows(n_max, coefs):

@@ -10,6 +10,12 @@ Generator names understood by parse_named():
     chain:r        a chain with ranks 0..r (not geometric for r >= 2)
     divisor:N      divisors of N under divisibility
 
+Partitions are enumerated and covered on key codes: a partition is
+the tuple of its blocks' bitmasks in least-element order, and merging
+two blocks ors their masks in the place of the earlier one, so each
+cover is a tuple slice and one dict lookup, with no sort.  Sorted
+blocks and labels come from one table of every subset's elements.
+
 load_lattice() is the one admission path for lattice sources: it takes
 a generator name or a lattice-JSON dict and refuses, with TooLarge, any
 source over the element cap before building it.  Names are sized from
@@ -36,44 +42,50 @@ __all__ = [
 DEFAULT_CAP = 5000
 
 
+def _members(n):
+    """members[s]: the elements of the subset with bitmask s, ascending,
+    for every s < 2^n."""
+    members = [()]
+    for i in range(n):
+        members += [subset + (i,) for subset in members]
+    return members
+
+
 @lru_cache(maxsize=None)
 def boolean_lattice(n):
     """Subsets of {0..n-1}; element index is the subset bitmask."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    size = 1 << n
-    covers = []
-    labels = []
-    for s in range(size):
-        labels.append("{" + ",".join(str(e) for e in range(n) if s >> e & 1)
-                      + "}")
-        for e in range(n):
-            if not s >> e & 1:
-                covers.append((s, s | (1 << e)))
-    return build_lattice(size, covers, labels)
+    bits = [1 << e for e in range(n)]
+    covers = [(s, s | b) for s in range(1 << n) for b in bits if not s & b]
+    labels = ["{" + ",".join(map(str, m)) + "}" for m in _members(n)]
+    return build_lattice(1 << n, covers, labels)
+
+
+def _partition_keys(n):
+    """Every partition of {0..n-1} as the tuple of its blocks' bitmasks,
+    blocks in least-element order, in set_partitions' order.
+
+    Element i joins each block of a partition of {0..i-1} in turn and
+    then starts a block of its own; growing all partitions one element
+    at a time keeps that order.
+    """
+    keys = [()]
+    for i in range(n):
+        bit = 1 << i
+        nxt = []
+        for p in keys:
+            nxt += [p[:j] + (p[j] | bit,) + p[j + 1:] for j in range(len(p))]
+            nxt.append(p + (bit,))
+        keys = nxt
+    return keys
 
 
 def set_partitions(n):
     """All partitions of {0..n-1} as tuples of sorted-tuple blocks,
     blocks ordered by least element, in a deterministic order."""
-    if n == 0:
-        return [()]
-    out = []
-
-    def extend(i, blocks):
-        if i == n:
-            out.append(tuple(tuple(b) for b in blocks))
-            return
-        for b in blocks:
-            b.append(i)
-            extend(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        extend(i + 1, blocks)
-        blocks.pop()
-
-    extend(0, [])
-    return out
+    members = _members(n)
+    return [tuple(map(members.__getitem__, p)) for p in _partition_keys(n)]
 
 
 @lru_cache(maxsize=None)
@@ -81,24 +93,21 @@ def partition_lattice(n):
     """Partitions of an n-set ordered by refinement; rank n-1 overall.
 
     The bottom is the all-singletons partition and a cover merges two
-    blocks.
+    blocks.  Element i is set_partitions(n)[i]; merging block b into an
+    earlier block a puts the or of their masks in a's place, which
+    keeps the least-element order.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    parts = set_partitions(n)
-    index = {p: i for i, p in enumerate(parts)}
-    covers = []
-    for p in parts:
-        blocks = list(p)
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                merged = tuple(sorted(blocks[i] + blocks[j]))
-                rest = [b for t, b in enumerate(blocks) if t not in (i, j)]
-                q = tuple(sorted(rest + [merged]))
-                covers.append((index[p], index[q]))
-    labels = ["|".join(",".join(map(str, b)) for b in p) or "-"
-              for p in parts]
-    return build_lattice(len(parts), covers, labels)
+    keys = _partition_keys(n)
+    index = {p: i for i, p in enumerate(keys)}
+    covers = [(i, index[p[:a] + (p[a] | p[b],) + p[a + 1:b] + p[b + 1:]])
+              for i, p in enumerate(keys)
+              for a in range(len(p))
+              for b in range(a + 1, len(p))]
+    text = [",".join(map(str, block)) for block in _members(n)]
+    labels = ["|".join(map(text.__getitem__, p)) or "-" for p in keys]
+    return build_lattice(len(keys), covers, labels)
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import MatroidError, NotAFlat, NotSimple, TooLarge
-from .poset import build_lattice
+from .poset import _bits, build_lattice
 
 __all__ = [
     "Matroid",
@@ -137,39 +137,61 @@ class Matroid:
 
         The order matches the element indices of flats_lattice().
         """
-        masks, _ = self._flat_covers
-        return [_to_set(m) for m in masks]
+        _masks, members, _pairs = self._flat_covers
+        return [frozenset(t) for t in members]
 
     @cached_property
     def _flat_covers(self):
-        """Flat masks in flats() order, and the cover pairs (i, j) of
-        flat i covered by flat j, as two tuples from one sweep up from
-        cl(empty), taken on first use and kept.
+        """Flat masks in flats() order, the sorted elements of each, and
+        the cover pairs (i, j) of flat i covered by flat j, as three
+        tuples from one sweep up from cl(empty), taken on first use and
+        kept.
 
-        For a flat F and an element e outside it, cl(F + e) covers F,
-        and the flats covering F partition the elements outside F.  So
-        sweep level k holds the flats of rank k, and each cover is met
-        once, skipping the elements of the covers already found.
+        This needs a matroid rank function.  For a flat F of rank r and
+        an element e outside it, F + e has rank r + 1 and its closure
+        cl(F + e) covers F; the flats covering F partition the elements
+        outside F.  So sweep level k holds the flats of rank k, each
+        cover is met once from the least element outside the covers
+        found so far, and its closure tests only the elements outside
+        those covers, one rank call each.  A set of full rank closes to
+        the ground set without a test.
         """
+        rank_fn = self._rank_fn
+        ground = (1 << self.ground_size) - 1
+        top = self.full_rank
         level = [self._closure_mask(0)]
-        seen = set(level)
+        members = {level[0]: tuple(_bits(level[0]))}  # flat -> its elements
+        r = 0
         masks, pairs = [], []
         while level:
-            masks.extend(sorted(level, key=_sorted_tuple))
+            level.sort(key=members.__getitem__)
+            masks += level
             nxt = []
             for fl in level:
                 covered = fl
-                for e in range(self.ground_size):
-                    if not covered >> e & 1:
-                        g = self._closure_mask(fl | (1 << e))
-                        covered |= g
-                        pairs.append((fl, g))
-                        if g not in seen:
-                            seen.add(g)
-                            nxt.append(g)
+                while covered != ground:
+                    rest = ground ^ covered
+                    low = rest & -rest
+                    if r + 1 == top:
+                        g = ground
+                    else:
+                        g = base = fl | low
+                        rest ^= low
+                        while rest:
+                            bit = rest & -rest
+                            rest ^= bit
+                            if rank_fn(base | bit) == r + 1:
+                                g |= bit
+                    covered |= g
+                    pairs.append((fl, g))
+                    if g not in members:
+                        members[g] = tuple(_bits(g))
+                        nxt.append(g)
             level = nxt
+            r += 1
         index = {m: i for i, m in enumerate(masks)}
-        return tuple(masks), tuple((index[f], index[g]) for f, g in pairs)
+        return (tuple(masks), tuple(map(members.__getitem__, masks)),
+                tuple((index[f], index[g]) for f, g in pairs))
 
 
 def flats_lattice(matroid):
@@ -180,9 +202,8 @@ def flats_lattice(matroid):
     """
     if not matroid.is_simple():
         raise NotSimple(f"{matroid!r} has loops or parallel elements")
-    masks, covers = matroid._flat_covers
-    labels = ["{" + ",".join(map(str, _sorted_tuple(m))) + "}"
-              for m in masks]
+    masks, members, covers = matroid._flat_covers
+    labels = ["{" + ",".join(map(str, t)) + "}" for t in members]
     return build_lattice(len(masks), covers, labels)
 
 
@@ -250,7 +271,3 @@ def _to_mask(subset, n):
 
 def _to_set(mask):
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def _sorted_tuple(mask):
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)

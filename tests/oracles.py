@@ -436,3 +436,154 @@ def dowling_key_leq(p, q, m):
             if shifts.setdefault(i, shift) != shift:
                 return False
     return True
+
+
+def set_partitions(n):
+    """All partitions of {0..n-1} as tuples of sorted-tuple blocks,
+    blocks ordered by least element, by a depth-first walk that puts
+    element i in each block in turn and then in a block of its own."""
+    if n == 0:
+        return [()]
+    out = []
+
+    def extend(i, blocks):
+        if i == n:
+            out.append(tuple(tuple(b) for b in blocks))
+            return
+        for b in blocks:
+            b.append(i)
+            extend(i + 1, blocks)
+            b.pop()
+        blocks.append([i])
+        extend(i + 1, blocks)
+        blocks.pop()
+
+    extend(0, [])
+    return out
+
+
+def partition_lattice(n):
+    """Pi_n with element i the i-th of set_partitions(n): each cover
+    merges two blocks, re-sorts the merged block and then the blocks;
+    the reference for generators.partition_lattice."""
+    parts = set_partitions(n)
+    index = {p: i for i, p in enumerate(parts)}
+    covers = []
+    for p in parts:
+        blocks = list(p)
+        for i in range(len(blocks)):
+            for j in range(i + 1, len(blocks)):
+                merged = tuple(sorted(blocks[i] + blocks[j]))
+                rest = [b for t, b in enumerate(blocks) if t not in (i, j)]
+                q = tuple(sorted(rest + [merged]))
+                covers.append((index[p], index[q]))
+    labels = ["|".join(",".join(map(str, b)) for b in p) or "-"
+              for p in parts]
+    return build_lattice(len(parts), covers, labels)
+
+
+def dowling_keys(n, m):
+    """Keys (blocks, exps) of Q_n(Z_m) by a depth-first walk: element i
+    goes to the zero block, then starts a block, then joins each block
+    with each exponent in turn."""
+    out = []
+    blocks = []
+
+    def rec(i):
+        if i == n:
+            out.append((tuple(tuple(b) for b, _ in blocks),
+                        tuple(tuple(e) for _, e in blocks)))
+            return
+        rec(i + 1)
+        blocks.append(([i], [0]))
+        rec(i + 1)
+        blocks.pop()
+        for b, e in blocks:
+            for t in range(m):
+                b.append(i)
+                e.append(t)
+                rec(i + 1)
+                b.pop()
+                e.pop()
+
+    rec(0)
+    return out
+
+
+def dowling_upper_keys(blocks, exps, m):
+    """The keys covering (blocks, exps) in Q_n(Z_m): each block absorbed
+    into the zero block, then each pair of blocks i < j merged with j's
+    labels shifted by t = 0..m-1, a merge re-sorting the two blocks'
+    (element, exponent) pairs."""
+    out = [(blocks[:i] + blocks[i + 1:], exps[:i] + exps[i + 1:])
+           for i in range(len(blocks))]
+    for i, (bi, ei) in enumerate(zip(blocks, exps)):
+        for j in range(i + 1, len(blocks)):
+            head_b, tail_b = blocks[:i], blocks[i + 1:j] + blocks[j + 1:]
+            head_e, tail_e = exps[:i], exps[i + 1:j] + exps[j + 1:]
+            for t in range(m):
+                mb, me = zip(*sorted(zip(
+                    bi + blocks[j], ei + tuple((e + t) % m for e in exps[j]))))
+                out.append((head_b + (mb,) + tail_b, head_e + (me,) + tail_e))
+    return out
+
+
+def dowling_label(blocks, exps):
+    """Block notation of a key: "0^0,2^1|1^0", or "~" for the top."""
+    if not blocks:
+        return "~"
+    return "|".join(",".join(f"{x}^{e}" for x, e in zip(b, ex))
+                    for b, ex in zip(blocks, exps))
+
+
+def dowling_lattice(n, m):
+    """(keys, lattice) of Q_n(Z_m) from dowling_keys and
+    dowling_upper_keys: the reference for dowling._qn_data."""
+    keys = dowling_keys(n, m)
+    index = {key: i for i, key in enumerate(keys)}
+    covers = [(i, index[up]) for i, key in enumerate(keys)
+              for up in dowling_upper_keys(*key, m)]
+    labels = [dowling_label(*key) for key in keys]
+    return keys, build_lattice(len(keys), covers, labels)
+
+
+def flat_covers(mat):
+    """(flat masks, cover pairs) by the sweep up from cl(empty) that
+    closes F + e over every element outside it, for each e outside the
+    covers of F found so far: the reference for Matroid._flat_covers.
+    Flats are ordered by rank, then by their sorted elements."""
+    n = mat.ground_size
+
+    def closure(mask):
+        r = mat._rank_fn(mask)
+        return mask | sum(1 << e for e in range(n) if not mask >> e & 1
+                          and mat._rank_fn(mask | 1 << e) == r)
+
+    level = [closure(0)]
+    seen = set(level)
+    masks, pairs = [], []
+    while level:
+        masks.extend(sorted(level, key=lambda f: sorted(_elements(f))))
+        nxt = []
+        for fl in level:
+            covered = fl
+            for e in range(n):
+                if not covered >> e & 1:
+                    g = closure(fl | 1 << e)
+                    covered |= g
+                    pairs.append((fl, g))
+                    if g not in seen:
+                        seen.add(g)
+                        nxt.append(g)
+        level = nxt
+    index = {f: i for i, f in enumerate(masks)}
+    return masks, [(index[f], index[g]) for f, g in pairs]
+
+
+def flats_lattice(mat):
+    """The lattice of flats from flat_covers, labelled by sorted
+    elements: the reference for matroid.flats_lattice."""
+    masks, pairs = flat_covers(mat)
+    labels = ["{" + ",".join(map(str, sorted(_elements(f)))) + "}"
+              for f in masks]
+    return build_lattice(len(masks), pairs, labels)
