@@ -35,7 +35,7 @@ D_{m,r+m}(k-1) and D_{m,r}(k).
 
 from collections import deque, namedtuple
 from functools import lru_cache
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, repeat
 from math import comb
 from operator import itemgetter, mul
 
@@ -267,32 +267,39 @@ def shifted_convolution(m, n, t, s):
         raise ValueError("need n, t, s >= 0")
     second = whitney_second_rows(m, 1, n + s)  # the deeper one, refused first
     first = deque(whitney_first_rows(m, n), maxlen=1).pop()
-    return _conv_value(first, second, t, s)
+    return _conv_value(first, _column(second, t), s)
 
 
-def _conv_value(first, second, t, s):
-    """sum_k first[k] W(k + s, t), W's rows read from row 0 of second."""
-    lo = max(t - s, 0)  # row k + s has an entry t from k = t - s on
-    return sum(map(mul, first[lo:],
-                   map(itemgetter(t), islice(second, lo + s, None))))
+def _column(rows, k):
+    """Column k of a triangle, T(i, k) for each of its rows i, as a list:
+    0 where i < k."""
+    return [row[k] if k < len(row) else 0 for row in rows]
+
+
+def _conv_value(first, column, s):
+    """sum_k first[k] W(k + s, t), with column[i] = W(i, t)."""
+    return sum(map(mul, first, column[s:s + len(first)]))
 
 
 def conv_orthogonality_check(m, n_max):
     """Both matrix products of the two triangles equal the identity:
-    returns (True, None) or (False, (direction, n, s))."""
+    returns (True, None) or (False, (direction, n, s)).
+
+    Entry (n, s) of either product is row n of one triangle times
+    column s of the other, which vanishes for s > n.  The entries
+    s <= n are read in the order n, then s, then second*first before
+    first*second; the first one off the identity is the witness.
+    """
     first = list(whitney_first_rows(m, n_max))
     second = list(whitney_second_rows(m, 1, n_max))
+    first_cols = [_column(first, s) for s in range(n_max + 1)]
+    second_cols = [_column(second, s) for s in range(n_max + 1)]
     for n in range(n_max + 1):
-        for s in range(n_max + 1):
+        for s in range(n + 1):
             want = 1 if n == s else 0
-            lo, hi = min(n, s), max(n, s)
-            a = sum(second[n][r_] * first[r_][s]
-                    for r_ in range(lo, hi + 1) if r_ <= n and s <= r_)
-            if a != want:
+            if sum(map(mul, second[n], first_cols[s])) != want:
                 return False, ("second*first", n, s)
-            b = sum(first[n][r_] * second[r_][s]
-                    for r_ in range(lo, hi + 1) if r_ <= n and s <= r_)
-            if b != want:
+            if sum(map(mul, first[n], second_cols[s])) != want:
                 return False, ("first*second", n, s)
     return True, None
 
@@ -318,20 +325,26 @@ def conv_series(m, n, t, order):
 def conv_grid_check(m, n_max, t_max, s_max):
     """c_{n,t}(s) from the convolution, the series and W_{m,1+mn}(s, t-n)
     (0 for t < n) agree for n, t, s up to n_max, t_max, s_max, with each
-    triangle formed once: (True, None) or (False, (n, t, s))."""
+    triangle formed once and each column read once: (True, None) or
+    (False, (n, t, s)), the first triple in that order where they
+    differ."""
     if min(n_max, t_max, s_max) < 0:
         raise ValueError("need n_max, t_max, s_max >= 0")
     # the deepest triangle first, so an over-deep grid is refused at once
     second = list(whitney_second_rows(m, 1, n_max + s_max))
+    columns = [_column(second, t) for t in range(t_max + 1)]
+    zeros = (0,) * (s_max + 1)
     for n, first in enumerate(whitney_first_rows(m, n_max)):
         shifted = list(whitney_second_rows(m, 1 + m * n, s_max))
-        for t in range(t_max + 1):
+        for t, column in enumerate(columns):
+            conv = tuple(_conv_value(first, column, s)
+                         for s in range(s_max + 1))
             series = conv_series(m, n, t, s_max)
-            for s in range(s_max + 1):
-                conv = _conv_value(first, second, t, s)
-                direct = shifted[s][t - n] if 0 <= t - n <= s else 0
-                if not conv == series[s] == direct:
-                    return False, (n, t, s)
+            direct = tuple(_column(shifted, t - n)) if t >= n else zeros
+            if not conv == series == direct:
+                s = next(s for s in range(s_max + 1)
+                         if not conv[s] == series[s] == direct[s])
+                return False, (n, t, s)
     return True, None
 
 

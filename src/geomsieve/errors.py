@@ -45,10 +45,6 @@ class NotSimple(MatroidError):
     """The matroid has loops or parallel elements."""
 
 
-class NotAFlat(MatroidError):
-    """The given subset is not closed."""
-
-
 class TooLarge(GeomsieveError, ValueError):
     """An enumeration would exceed the configured size cap."""
 

@@ -203,7 +203,10 @@ def parse_named(name, cap_elements=DEFAULT_CAP):
         _refuse_over(name, accumulate((comb(n, i) for i in range(k)),
                                       initial=1), cap_elements)
         from . import matroid
-        return matroid.flats_lattice(matroid.Matroid.uniform(k, n))
+        mat = matroid.Matroid.uniform(k, n)
+        if k <= 1 and n > k:  # a loop (k = 0) or a parallel pair (k = 1)
+            raise matroid._not_simple(mat)
+        return matroid.flats_lattice(mat)
     if kind == "graphic" and len(parts) == 2:
         if parts[1] not in ("k4", "k5"):
             raise ValueError(f"unknown graph {parts[1]!r}")

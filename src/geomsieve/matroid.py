@@ -3,23 +3,26 @@
 A matroid is its rank function on bitmasks of the ground set: uniform
 and graphic matroids compute rank directly, and a caller may pass any
 rank function to Matroid().  Independence, closure and flats are all
-read from rank.
+read from rank.  closure_mobius gives the Mobius function of the flats
+by Rota's closure route, from one walk over the subsets.
 
 Subsets are passed as any iterable of ground-element indices and
 returned as frozensets.
 """
 
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
 
-from .errors import MatroidError, NotAFlat, NotSimple, TooLarge
+from .errors import MatroidError, NotSimple, TooLarge
 from .poset import _bits, build_lattice
 
 __all__ = [
     "Matroid",
     "flats_lattice",
     "char_poly",
-    "mobius_via_closure",
+    "closure_mobius",
+    "ClosureMobius",
 ]
 
 # Largest n for which a 2^n subset walk is run by default.
@@ -123,14 +126,12 @@ class Matroid:
         return self._closure_mask(mask) == mask
 
     def is_simple(self):
-        """No loops and no two parallel elements."""
-        for e in range(self.ground_size):
-            if self._rank_fn(1 << e) == 0:
-                return False
-        for e, f in combinations(range(self.ground_size), 2):
-            if self._rank_fn((1 << e) | (1 << f)) == 1:
-                return False
-        return True
+        """No loops and no two parallel elements, read off the sweep of
+        flats(): cl(empty) is empty and every rank-1 flat, a flat
+        covering cl(empty), is one element."""
+        _masks, members, covers = self._flat_covers
+        return not members[0] and all(len(members[j]) == 1
+                                      for i, j in covers if not i)
 
     def flats(self):
         """Every flat, ordered by rank then lexicographically.
@@ -193,6 +194,35 @@ class Matroid:
         return (tuple(masks), tuple(map(members.__getitem__, masks)),
                 tuple((index[f], index[g]) for f, g in pairs))
 
+    @cached_property
+    def _closure_mobius(self):
+        """closure_mobius(self), taken on first use and kept."""
+        ranks = _rank_table(self)
+        ground = len(ranks) - 1
+        top = ranks[ground]
+        closed = [0] * len(ranks)  # cl(A), by the mask of A
+        mobius = {}  # flat -> sum of (-1)^|A| over A with cl(A) = flat
+        for a, r in enumerate(ranks):
+            low = a & -a
+            less = closed[a ^ low]
+            if low and ranks[a ^ low] == r:
+                cl = less
+            elif r == top:
+                cl = ground
+            else:
+                cl = a | less
+                rest = ground ^ cl
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    if ranks[a | bit] == r:
+                        cl |= bit
+            closed[a] = cl
+            mobius[cl] = mobius.get(cl, 0) + (-1 if a.bit_count() & 1 else 1)
+        return ClosureMobius(
+            _whitney_first(ranks),
+            tuple(mobius.get(m, 0) for m in self._flat_covers[0]))
+
 
 def flats_lattice(matroid):
     """The lattice of flats, ordered by inclusion.
@@ -201,16 +231,35 @@ def flats_lattice(matroid):
     Element i of the lattice is matroid.flats()[i].
     """
     if not matroid.is_simple():
-        raise NotSimple(f"{matroid!r} has loops or parallel elements")
+        raise _not_simple(matroid)
     masks, members, covers = matroid._flat_covers
     labels = ["{" + ",".join(map(str, t)) + "}" for t in members]
     return build_lattice(len(masks), covers, labels)
 
 
-def _refuse_subsets(n):
-    """Refuse a walk over the 2^n subsets of an n-set past 2^_SUBSET_CAP."""
+def _not_simple(matroid):
+    return NotSimple(f"{matroid!r} has loops or parallel elements")
+
+
+def _rank_table(matroid):
+    """The rank of each of the 2^n subsets, by mask: one rank call each.
+
+    The walk is refused with TooLarge past 2^20 subsets, before any rank
+    call.
+    """
+    n = matroid.ground_size
     if n > _SUBSET_CAP:
         raise TooLarge(f"2^{n} subsets exceed the cap 2^{_SUBSET_CAP}")
+    return list(map(matroid._rank_fn, range(1 << n)))
+
+
+def _whitney_first(ranks):
+    """(w_0, ..., w_r): the sum of (-1)^|A| over the subsets A of each
+    rank, read from a rank table."""
+    w = [0] * (ranks[-1] + 1)
+    for mask, r in enumerate(ranks):
+        w[r] += -1 if mask.bit_count() & 1 else 1
+    return tuple(w)
 
 
 def char_poly(matroid):
@@ -220,40 +269,29 @@ def char_poly(matroid):
     Enumerates all 2^n subsets, so the ground set is capped at 20
     (raises TooLarge beyond it).  A matroid with a loop gives zeros.
     """
-    n = matroid.ground_size
-    _refuse_subsets(n)
-    r = matroid.full_rank
-    w = [0] * (r + 1)
-    rank_fn = matroid._rank_fn
-    for mask in range(1 << n):
-        w[rank_fn(mask)] += -1 if mask.bit_count() & 1 else 1
-    return tuple(w)
+    return _whitney_first(_rank_table(matroid))
 
 
-def mobius_via_closure(matroid, flat):
-    """mu(closure(empty), F) computed without building the lattice:
-    the sum of (-1)^|A| over the subsets A of F that span F (Rota's
-    closure route).
+ClosureMobius = namedtuple("ClosureMobius", "char_poly mobius")
 
-    A subset A of a flat F has closure exactly F when r(A) = r(F), so
-    each subset costs one rank evaluation and the whole sum 2^|F|.
-    Raises NotAFlat when F is not closed, and TooLarge when |F| is over
-    20, char_poly's cap, before any subset is visited.
+
+def closure_mobius(matroid):
+    """char_poly(matroid) and mu(cl(empty), F) for every flat F, in
+    flats() order, from one walk over the 2^n subsets (Rota's closure
+    route): mu(cl(empty), F) is the sum of (-1)^|A| over the subsets A
+    whose closure is F.
+
+    Each rank is read once into a table, and every subset is closed from
+    that table alone: if dropping A's least element e keeps the rank,
+    then e lies in cl(A - e) and cl(A) = cl(A - e); otherwise cl(A)
+    holds cl(A - e) and A, and each element outside those is tested
+    with one table lookup, unless A has full rank and closes to the
+    ground set.  So the walk makes 2^n rank calls, and the flats' order
+    comes from the sweep of flats().  Like char_poly it refuses a ground
+    set over 20 elements with TooLarge, before any rank call.  The
+    result is kept on the matroid; the tables are not.
     """
-    mask = _to_mask(flat, matroid.ground_size)
-    _refuse_subsets(mask.bit_count())
-    if matroid._closure_mask(mask) != mask:
-        raise NotAFlat(f"{sorted(_to_set(mask))} is not closed")
-    rank_fn = matroid._rank_fn
-    r = rank_fn(mask)
-    total = 0
-    sub = mask
-    while True:  # every submask of mask, down to 0
-        if rank_fn(sub) == r:
-            total += -1 if sub.bit_count() & 1 else 1
-        if not sub:
-            return total
-        sub = (sub - 1) & mask
+    return matroid._closure_mobius
 
 
 # -- small helpers ---------------------------------------------------------

@@ -82,9 +82,12 @@ class SieveInstance(namedtuple("SieveInstance", "lattice A T f X tau")):
         for t in T:
             if not _is_index(t) or t not in atoms:
                 raise ValueError(f"T entry {t} is not an atom")
-        for a in A:
-            if not _is_index(a) or not 0 <= a < lattice.n_elems:
-                raise ValueError(f"A entry {a} is not an element index")
+        # the whole list first; entry by entry only to name a bad one
+        if not (set(map(type, A)) <= {int} and min(A, default=0) >= 0
+                and max(A, default=0) < lattice.n_elems):
+            for a in A:
+                if not _is_index(a) or not 0 <= a < lattice.n_elems:
+                    raise ValueError(f"A entry {a} is not an element index")
         n = lattice.top_rank
         if len(f) != n + 1:
             raise ValueError(

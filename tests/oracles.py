@@ -5,15 +5,20 @@ definitions, with different algorithms than the package (matrix-style
 Mobius inversion instead of per-base recursion, quadratic bound scans
 instead of bitmask tricks), so agreement is meaningful.
 
+The per-entry forms of dowling's two triangle checks live here too,
+as the references their column forms are compared against.
+
 It also holds test-only constructions the package does not ship: the
 explicit matroid of a family of independent sets (from_independents)
 and simplification (simplify), which build loopy, parallel and
 simplified matroids for the matroid tests.
 """
 
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
+from operator import itemgetter, mul
 
+from geomsieve import dowling
 from geomsieve.errors import MatroidError
 from geomsieve.matroid import Matroid
 from geomsieve.poset import build_lattice
@@ -266,6 +271,48 @@ def stirling2(n_max):
     return rows
 
 
+def entrywise_orthogonality_check(m, n_max):
+    """dowling.conv_orthogonality_check entry by entry: both products of
+    the two triangles, each entry (n, s) a sum over r from min(n, s) to
+    max(n, s) with the triangles' zeros skipped, read in the order n,
+    then s over 0..n_max, then second*first before first*second."""
+    first = list(dowling.whitney_first_rows(m, n_max))
+    second = list(dowling.whitney_second_rows(m, 1, n_max))
+    for n in range(n_max + 1):
+        for s in range(n_max + 1):
+            want = 1 if n == s else 0
+            lo, hi = min(n, s), max(n, s)
+            a = sum(second[n][r_] * first[r_][s]
+                    for r_ in range(lo, hi + 1) if r_ <= n and s <= r_)
+            if a != want:
+                return False, ("second*first", n, s)
+            b = sum(first[n][r_] * second[r_][s]
+                    for r_ in range(lo, hi + 1) if r_ <= n and s <= r_)
+            if b != want:
+                return False, ("first*second", n, s)
+    return True, None
+
+
+def entrywise_grid_check(m, n_max, t_max, s_max):
+    """dowling.conv_grid_check one triple at a time: c_{n,t}(s) as a sum
+    over k >= max(t - s, 0) of w(n, k) W(k + s, t), reading W's rows
+    from the stream, against the series and W_{m,1+mn}(s, t - n), and
+    stopping at the first (n, t, s) where they differ."""
+    second = list(dowling.whitney_second_rows(m, 1, n_max + s_max))
+    for n, first in enumerate(dowling.whitney_first_rows(m, n_max)):
+        shifted = list(dowling.whitney_second_rows(m, 1 + m * n, s_max))
+        for t in range(t_max + 1):
+            series = dowling.conv_series(m, n, t, s_max)
+            for s in range(s_max + 1):
+                lo = max(t - s, 0)
+                conv = sum(map(mul, first[lo:],
+                               map(itemgetter(t), islice(second, lo + s, None))))
+                direct = shifted[s][t - n] if 0 <= t - n <= s else 0
+                if not conv == series[s] == direct:
+                    return False, (n, t, s)
+    return True, None
+
+
 def naive_closure(mat, subset):
     """Definitional closure: every x whose addition keeps the rank."""
     subset = frozenset(subset)
@@ -282,6 +329,16 @@ def naive_mobius_via_closure(mat, flat):
                for size in range(len(flat) + 1)
                for subset in combinations(sorted(flat), size)
                if naive_closure(mat, subset) == flat)
+
+
+def naive_char_poly(mat):
+    """(w_0, ..., w_r) from the definition: w_i is the sum of (-1)^|A|
+    over the subsets A of rank i, each subset a tuple of elements."""
+    w = [0] * (mat.full_rank + 1)
+    for size in range(mat.ground_size + 1):
+        for subset in combinations(range(mat.ground_size), size):
+            w[mat.rank_of(subset)] += (-1) ** size
+    return tuple(w)
 
 
 def naive_flat_covers(mat, flats):

@@ -709,3 +709,16 @@ def test_module_entry_point():
         env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "lattice-check" in proc.stdout
+
+
+def test_lattice_check_refuses_a_huge_non_simple_uniform_at_once():
+    # U_{1,10^9}: sweeping its flats would take hours
+    src = os.path.dirname(os.path.dirname(os.path.abspath(generators.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "geomsieve.cli", "lattice-check",
+         "uniform:1:1000000000"], capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: <Matroid uniform n=1000000000> has loops "
+                           "or parallel elements\n")

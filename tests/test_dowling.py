@@ -529,6 +529,57 @@ def test_verify_check_catches_a_wrong_second_kind_coefficient(monkeypatch):
     assert ok is False
     assert detail == "m=2: fails at ('second*first', 3, 0)"
 
+def test_verify_check_catches_a_wrong_first_kind_coefficient(monkeypatch):
+    # w_2(3, 1) off by one: row 3 of the second*first product still
+    # holds at s = 0, which reads only column 0 of w_2, but row 3 of w_2
+    # against column 0 of W_2 sums to W_2(1, 0) = 1, not 0
+    rows = dowling.whitney_first_rows
+
+    def mutated(m, n_max):
+        for n, row in enumerate(rows(m, n_max)):
+            if (m, n) == (2, 3):
+                row = (row[0], row[1] + 1) + row[2:]
+            yield row
+
+    monkeypatch.setattr(dowling, "whitney_first_rows", mutated)
+    assert conv_orthogonality_check(2, 3) == (False, ("first*second", 3, 0))
+    ok, detail = verify.check_orthogonality(fast=True)
+    assert ok is False
+    assert detail == "m=2: fails at ('first*second', 3, 0)"
+
+
+def _change_entry(monkeypatch, kind, m, r, n, k, delta):
+    """Patch dowling's row streams so that entry (n, k) of w_m (kind
+    "first") or of W_{m,r} (kind "second") is off by delta."""
+    name = f"whitney_{kind}_rows"
+    rows = getattr(dowling, name)
+
+    def mutated(*args):
+        for i, row in enumerate(rows(*args)):
+            if args[:-1] == ((m,) if kind == "first" else (m, r)) and i == n:
+                row = row[:k] + (row[k] + delta,) + row[k + 1:]
+            yield row
+
+    monkeypatch.setattr(dowling, name, mutated)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.sampled_from(["first", "second"]),
+       st.integers(0, 3), st.integers(0, 7), st.integers(0, 7),
+       st.integers(-2, 2))
+def test_triangle_checks_match_entrywise_oracles(m, kind, j, n, k, delta):
+    # one entry of w_m, or of W_{m,1+jm} (j = 0 is the unshifted W_m),
+    # changed by delta: both checks give the verdict and the witness of
+    # their entry-by-entry forms
+    k = min(k, n)
+    with pytest.MonkeyPatch.context() as patch:
+        _change_entry(patch, kind, m, 1 + j * m, n, k, delta)
+        assert conv_orthogonality_check(m, 7) == \
+            oracles.entrywise_orthogonality_check(m, 7)
+        assert conv_grid_check(m, 3, 6, 5) == \
+            oracles.entrywise_grid_check(m, 3, 6, 5)
+
+
 def test_r_dowling_number_holds_one_row():
     # the stream holds one anti-diagonal, about 1.2 MB at its peak; rows
     # 0..1000 of the cached triangle peaked at about 213 MB

@@ -5,7 +5,7 @@ import pytest
 
 from geomsieve import dowling, generators, matroid, poset
 from geomsieve.cli import main
-from geomsieve.errors import TooLarge
+from geomsieve.errors import NotSimple, TooLarge
 from geomsieve.sieve import sieve_instance_from_json
 
 import oracles
@@ -110,3 +110,23 @@ def test_sieve_inline_lattice_capped_by_default(monkeypatch):
             "T": [], "f": ["0"], "X": "1"}
     with pytest.raises(TooLarge, match=r"over the cap 5000$"):
         sieve_instance_from_json(data)
+
+
+@pytest.mark.parametrize("name, n", [
+    ("uniform:0:3", 3), ("uniform:1:5", 5), ("uniform:1:1000000000", 10 ** 9),
+])
+def test_non_simple_uniform_refused_before_the_flats_sweep(monkeypatch, name, n):
+    # U_{0,n} has loops and U_{1,n} parallel pairs for n > k: refused
+    # from k and n alone, before the flats are swept
+    def sweep(self):
+        raise AssertionError("flats swept")
+
+    monkeypatch.setattr(matroid.Matroid, "_flat_covers", property(sweep))
+    with pytest.raises(NotSimple, match=rf"^<Matroid uniform n={n}> has "
+                                        r"loops or parallel elements$"):
+        generators.parse_named(name)
+
+
+def test_simple_small_uniforms_still_build():
+    assert len(generators.parse_named("uniform:0:0")) == 1
+    assert len(generators.parse_named("uniform:1:1")) == 2

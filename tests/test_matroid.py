@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomsieve import matroid, verify
-from geomsieve.errors import MatroidError, NotAFlat, NotSimple, TooLarge
+from geomsieve.errors import MatroidError, NotSimple, TooLarge
 from geomsieve.matroid import (
     Matroid,
     char_poly,
+    closure_mobius,
     flats_lattice,
-    mobius_via_closure,
 )
 
 import oracles
@@ -196,27 +196,22 @@ def test_char_poly_equals_lattice_whitney(u24, k4):
 
 def test_mobius_via_closure_examples():
     u23 = Matroid.uniform(2, 3)
-    assert mobius_via_closure(u23, frozenset()) == 1
-    assert mobius_via_closure(u23, frozenset({0})) == -1
-    assert mobius_via_closure(u23, frozenset(range(3))) == 2
-    with pytest.raises(NotAFlat):
-        mobius_via_closure(u23, frozenset({0, 1}))  # closure is everything
+    assert u23.flats() == [frozenset(), frozenset({0}), frozenset({1}),
+                           frozenset({2}), frozenset(range(3))]
+    assert closure_mobius(u23) == ((1, -3, 2), (1, -1, -1, -1, 2))
 
 
 def test_mobius_via_closure_matches_lattice(u24, k4):
     for mat in (u24, k4):
         lat = flats_lattice(mat)
-        table = lat.mobius_table(lat.bottom)
-        for i, flat in enumerate(mat.flats()):
-            assert mobius_via_closure(mat, flat) == table[i]
+        assert closure_mobius(mat).mobius == lat.mobius_table(lat.bottom)
 
 
 @pytest.mark.parametrize("name", sorted(FLAT_CASES))
 def test_mobius_via_closure_matches_naive_on_every_flat(name):
     mat = FLAT_CASES[name]
-    for flat in mat.flats():
-        assert mobius_via_closure(mat, flat) == \
-            oracles.naive_mobius_via_closure(mat, flat)
+    assert closure_mobius(mat).mobius == tuple(
+        oracles.naive_mobius_via_closure(mat, flat) for flat in mat.flats())
 
 
 @st.composite
@@ -241,16 +236,33 @@ def small_matroids(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_matroids(), st.data())
-def test_mobius_via_closure_random_matroids(mat, data):
-    for flat in mat.flats():
-        assert mobius_via_closure(mat, flat) == \
-            oracles.naive_mobius_via_closure(mat, flat)
-    subset = data.draw(st.sets(st.integers(0, max(mat.ground_size - 1, 0)),
-                               max_size=mat.ground_size))
-    if oracles.naive_closure(mat, subset) != subset:
-        with pytest.raises(NotAFlat):
-            mobius_via_closure(mat, subset)
+@given(small_matroids())
+def test_mobius_via_closure_random_matroids(mat):
+    # loops and parallel edges included: with a loop every closure-route
+    # sum is 0, and char_poly is all zeros
+    cp, mobius = closure_mobius(mat)
+    assert cp == char_poly(mat) == oracles.naive_char_poly(mat)
+    assert mobius == tuple(oracles.naive_mobius_via_closure(mat, flat)
+                           for flat in mat.flats())
+
+
+def test_closure_mobius_reads_each_rank_once():
+    # the sweep of flats() is taken first; the walk then makes one rank
+    # call per subset, and its result is kept
+    for name, zoo_mat in verify.zoo_matroids():
+        calls = []
+
+        def rank(mask, rank_fn=zoo_mat._rank_fn):
+            calls.append(mask)
+            return rank_fn(mask)
+
+        mat = Matroid(zoo_mat.ground_size, rank, zoo_mat.kind)
+        mat.flats()
+        calls.clear()
+        first = closure_mobius(mat)
+        assert sorted(calls) == list(range(1 << mat.ground_size)), name
+        assert closure_mobius(mat) is first
+        assert len(calls) == 1 << mat.ground_size
 
 
 def test_mobius_via_closure_cap_before_any_subset():
@@ -262,7 +274,7 @@ def test_mobius_via_closure_cap_before_any_subset():
 
     mat = Matroid(21, rank, "counted")
     with pytest.raises(TooLarge, match=r"^2\^21 subsets exceed the cap 2\^20$"):
-        mobius_via_closure(mat, range(21))
+        closure_mobius(mat)
     with pytest.raises(TooLarge, match=r"^2\^21 subsets exceed the cap 2\^20$"):
         char_poly(mat)
     assert calls == []
@@ -289,15 +301,36 @@ def test_flats_swept_once_per_matroid(monkeypatch):
 
 
 def test_verify_check_catches_a_wrong_closure_mobius(monkeypatch):
-    right = matroid.mobius_via_closure
+    # mu of flat {0, 1} of the first matroid that has one, U_{2,2}
+    right = matroid.closure_mobius
 
-    def off_by_one(mat, flat):
-        return right(mat, flat) + (flat == frozenset({0, 1}))
+    def off_by_one(mat):
+        cp, mobius = right(mat)
+        return cp, tuple(v + (f == frozenset({0, 1}))
+                         for v, f in zip(mobius, mat.flats()))
 
-    monkeypatch.setattr(matroid, "mobius_via_closure", off_by_one)
+    monkeypatch.setattr(matroid, "closure_mobius", off_by_one)
     ok, detail = verify.check_matroid_lattice_consistency(fast=True)
     assert ok is False
-    assert "Mobius mismatch" in detail
+    assert detail == "uniform:2:2: Mobius mismatch at flat [0, 1]"
+
+
+def test_verify_check_catches_a_wrong_char_poly(monkeypatch):
+    # w_1 of U_{3,4} off by one: the walk's char_poly disagrees with the
+    # lattice's Whitney numbers before any Mobius value is compared
+    right = matroid.closure_mobius
+
+    def off_by_one(mat):
+        cp, mobius = right(mat)
+        if (mat.kind, mat.meta) == ("uniform", {"k": 3, "n": 4}):
+            cp = (cp[0], cp[1] + 1) + cp[2:]
+        return cp, mobius
+
+    monkeypatch.setattr(matroid, "closure_mobius", off_by_one)
+    ok, detail = verify.check_matroid_lattice_consistency(fast=True)
+    assert ok is False
+    assert detail == ("uniform:3:4: char_poly (1, -3, 6, -3) != "
+                      "lattice (1, -4, 6, -3)")
 
 
 def test_simplify_identity_on_simple(u24):

@@ -63,6 +63,28 @@ def test_instance_refuses_non_integer_indices():
         SieveInstance(lattice=lat, A=[0, 1.0], T=[], f=good_f, X=1)
 
 
+@pytest.mark.parametrize("A, bad", [
+    ([0, True], True), ([0, 3, -1, 9], -1), ([1, 4, 8, 2], 4),
+    ([0, "1"], "1"), ([2, 1.0, 5], 1.0),
+])
+def test_instance_names_the_first_bad_entry_of_A(A, bad):
+    lat = generators.parse_named("boolean:2")
+    with pytest.raises(ValueError,
+                       match=rf"^A entry {bad} is not an element index$"):
+        SieveInstance(lattice=lat, A=A, T=[], f=[0] * 3, X=1)
+
+
+def test_instance_takes_any_int_that_is_not_a_bool():
+    class Index(int):
+        pass
+
+    lat = generators.parse_named("boolean:2")
+    inst = SieveInstance(lattice=lat, A=[Index(3), 0, 3], T=[], f=[0] * 3,
+                         X=1)
+    assert inst.A == (3, 0, 3)
+    assert SieveInstance(lattice=lat, A=[], T=[], f=[0] * 3, X=1).A == ()
+
+
 def test_instance_validation():
     lat = generators.parse_named("boolean:3")
     good_f = [Fraction(0)] * 4
