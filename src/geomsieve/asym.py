@@ -22,6 +22,7 @@ does not load it.
 import math
 from collections import namedtuple
 
+from . import errors
 from .dowling import _check_numbers_n, r_dowling_number
 from .errors import NoConvergence, TooLarge
 
@@ -33,7 +34,6 @@ __all__ = [
     "AsymComparison",
 ]
 
-_DIGITS_CAP = 1000
 _NEWTON_STEPS = 100
 
 
@@ -42,8 +42,8 @@ def _validate(m, r, n, digits):
         raise TypeError("m, r, n must be ints")
     if m < 1 or r < 1 or n < 1 or digits < 1:
         raise ValueError("need m >= 1, r >= 1, n >= 1, digits >= 1")
-    if digits > _DIGITS_CAP:
-        raise TooLarge(f"need digits <= {_DIGITS_CAP}, the cap on "
+    if digits > errors.DIGITS_CAP:
+        raise TooLarge(f"need digits <= {errors.DIGITS_CAP}, the cap on "
                        "working precision")
 
 

@@ -29,7 +29,7 @@ import sys
 
 from . import generators
 from .brun import verify_brun
-from .errors import GeomsieveError, NotGeometric
+from .errors import ELEMENT_CAP, GeomsieveError, NotGeometric
 from .poset import _exact_digits, lattice_to_json
 from .scopes import SCOPES
 
@@ -305,7 +305,7 @@ def _build_parser():
     p = sub.add_parser("lattice-check",
                        help="geometric axioms and sign-alternation check")
     p.add_argument("source", help="lattice JSON path or generator name")
-    p.add_argument("--cap-elements", type=int, default=generators.DEFAULT_CAP)
+    p.add_argument("--cap-elements", type=int, default=ELEMENT_CAP)
     add_fmt(p)
     p.set_defaults(func=cmd_lattice_check)
 
@@ -314,7 +314,7 @@ def _build_parser():
     p.add_argument("--cutoff", type=_cutoff, default=None,
                    help="truncation parameter for the two-sided bounds, "
                         "or 'all' to add the bounds at every cutoff")
-    p.add_argument("--cap-elements", type=int, default=generators.DEFAULT_CAP)
+    p.add_argument("--cap-elements", type=int, default=ELEMENT_CAP)
     add_fmt(p)
     p.set_defaults(func=cmd_sieve_run)
 
@@ -340,7 +340,7 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--cap-elements", type=int, default=generators.DEFAULT_CAP)
+    p.add_argument("--cap-elements", type=int, default=ELEMENT_CAP)
     p.set_defaults(func=cmd_dowling_build)
 
     p = dsub.add_parser("conv", help="one shifted convolution value")

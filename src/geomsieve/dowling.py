@@ -23,7 +23,7 @@ two sides against each other.  A triangle exists only as the lazy row
 stream of whitney_first_rows or whitney_second_rows; `dowling table`
 writes such a stream as CSV.  No triangle is kept: each reader forms
 the rows it needs, once (the convolution grid forms its own once per
-m), and a negative depth or one over _TRIANGLE_N_CAP is refused before
+m), and a negative depth or one over the depth cap is refused before
 any row.  The Dowling numbers D_{m,r}(n) are the row sums, but
 _dowling_numbers streams them from the shift recurrence
 D_{m,r}(i+1) = r D_{m,r}(i) + D_{m,r+m}(i), which follows from the
@@ -39,6 +39,7 @@ from itertools import accumulate, repeat
 from math import comb
 from operator import itemgetter, mul
 
+from . import errors
 from .errors import TooLarge
 from .poset import _exact_digits, build_lattice
 
@@ -143,55 +144,58 @@ def _qn_data(n, m):
     return keys, index, lat
 
 
-def _check_caps(n, m, n_cap, m_cap):
+def _admit(n, m, cap_elements=errors.ELEMENT_CAP):
+    """_qn_data(n, m) and the list D_m(0..n), refused with TooLarge,
+    before any element is formed, at the first D_m(i) over the cap."""
     if n < 0 or m < 1:
         raise ValueError("need n >= 0 and m >= 1")
-    if n > n_cap or m > m_cap:
-        raise TooLarge(
-            f"Q_{n}(Z_{m}) exceeds caps n<={n_cap}, m<={m_cap}; "
-            "raise them explicitly if you mean it")
+    counts = errors.refuse_over(f"dowling:{n}:{m}",
+                                _dowling_numbers(m, 1, n), cap_elements)
+    return _qn_data(n, m) + (counts,)
 
 
-def build_Qn(n, m, *, n_cap=5, m_cap=4):
-    """The Dowling lattice Q_n(Z_m) as a FiniteLattice.
-
-    Element i is the i-th canonical key of _enumerate_partial; labels
-    carry its block notation.  Guarded by caps because the size D_m(n)
-    grows fast.
-    """
-    _check_caps(n, m, n_cap, m_cap)
-    return _qn_data(n, m)[2]
+def build_Qn(n, m):
+    """The Dowling lattice Q_n(Z_m) as a FiniteLattice, within the
+    default element cap (parse_named takes another).  Element i is the
+    i-th canonical key of _code_keys; labels carry its block notation."""
+    return _admit(n, m)[2]
 
 
-def canonical_tau_index(n, m, k, *, n_cap=5, m_cap=4):
+def canonical_tau_index(n, m, k):
     """Index of the canonical rank-k sieve target: elements 0..k-1 in
     the zero block, every other element an identity-labeled singleton."""
-    _check_caps(n, m, n_cap, m_cap)
+    index = _admit(n, m)[1]
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     tau = tuple((i,) for i in range(k, n)), ((0,),) * (n - k)
-    return _qn_data(n, m)[1][tau]
+    return index[tau]
 
 
-def dowling_sieve_instance(n, m, k, *, n_cap=5, m_cap=4):
+def dowling_sieve_instance(n, m, k, *, n_cap=None, m_cap=None):
     """Sieve instance on Q_n(Z_m) sifting by the canonical rank-k tau.
 
     A is all of the lattice, T the k atoms absorbing one of 0..k-1,
     f(s) = D_m(s) / D_m(n) and X = D_m(n), which makes the density
     model exact: #A_y = X f(corank y) with zero residual.
+
+    Q_n(Z_m) is admitted by its element count.  n_cap and m_cap stay
+    only for callers that pass them (perfbench's canonical sieve ops):
+    a given one refuses a larger n (or m) with TooLarge, as it did.
     """
     from fractions import Fraction
 
     from .sieve import SieveInstance
 
-    _check_caps(n, m, n_cap, m_cap)
+    if n_cap is not None and n > n_cap or m_cap is not None and m > m_cap:
+        raise TooLarge(
+            f"Q_{n}(Z_{m}) exceeds caps n<={n_cap}, m<={m_cap}; "
+            "raise them explicitly if you mean it")
+    _keys, index, lat, counts = _admit(n, m)
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    _keys, index, lat = _qn_data(n, m)
     t_indices = [index[(tuple((x,) for x in range(n) if x != i),
                         ((0,),) * (n - 1))]
                  for i in range(k)]
-    counts = list(_dowling_numbers(m, 1, n))
     f = [Fraction(count, counts[n]) for count in counts]
     return SieveInstance(lattice=lat, A=range(lat.n_elems), T=t_indices,
                          f=f, X=Fraction(counts[n]))
@@ -205,20 +209,14 @@ def _next_row(prev, coefs):
     return tuple(a + c * b for a, b, c in zip((0,) + prev, prev + (0,), coefs))
 
 
-# Rows are streamed, so the cap bounds time, not memory: forming rows
-# 0..500 takes about 0.05 s, and `dowling table --kind second --m 2
-# --nmax 500` writes them (52 MB of CSV) in about 2.6 s (Python 3.11.7).
-_TRIANGLE_N_CAP = 500
-
-
 def _rows(n_max, coefs):
     """An iterator over rows 0..n_max of the triangle whose row n has the
     coefficients coefs(n); the depth is checked here, before any row."""
     if n_max < 0:
         raise ValueError("need n_max >= 0")
-    if n_max > _TRIANGLE_N_CAP:
-        raise TooLarge(f"need triangle depth <= {_TRIANGLE_N_CAP}, the cap "
-                       f"on Whitney rows (asked for {n_max})")
+    if n_max > errors.TRIANGLE_DEPTH_CAP:
+        raise TooLarge(f"need triangle depth <= {errors.TRIANGLE_DEPTH_CAP}, "
+                       f"the cap on Whitney rows (asked for {n_max})")
     return accumulate(map(coefs, range(1, n_max + 1)), _next_row,
                       initial=(1,))
 
@@ -350,15 +348,12 @@ def conv_grid_check(m, n_max, t_max, s_max):
 
 # -- Dowling numbers and the sieve closed form -------------------------------
 
-_NUMBERS_N_CAP = 2000  # D_{m,r}(0..2000) take about 2.5 s and 5 MB
-
-
 def _check_numbers_n(n, name="n"):
     """Refuse a negative n, or one over the cap, before any row."""
     if n < 0:
         raise ValueError(f"need {name} >= 0")
-    if n > _NUMBERS_N_CAP:
-        raise TooLarge(f"need {name} <= {_NUMBERS_N_CAP}, the cap on "
+    if n > errors.NUMBERS_N_CAP:
+        raise TooLarge(f"need {name} <= {errors.NUMBERS_N_CAP}, the cap on "
                        "exact Dowling numbers")
 
 
@@ -433,7 +428,7 @@ def _convolve(a, b):
     return out
 
 
-def interval_profile_check(n, m, element, *, n_cap=5, m_cap=4):
+def interval_profile_check(n, m, element):
     """Rank profiles of [bottom, e] and [e, top] in Q_n(Z_m), and the
     first-kind Whitney numbers of [bottom, e], against the structure
     they must have (Dowling 1973).
@@ -446,8 +441,10 @@ def interval_profile_check(n, m, element, *, n_cap=5, m_cap=4):
     R_i the positions of rank i, W_i([e, top]) counts up(e) & R_{r+i}
     and W_i([bottom, e]) counts down(e) & R_i.
     """
-    _check_caps(n, m, n_cap, m_cap)
-    keys, _index, lat = _qn_data(n, m)
+    keys, _index, lat, _counts = _admit(n, m)
+    if not 0 <= element < len(keys):
+        raise ValueError(f"element {element} is not in Q_{n}(Z_{m}), "
+                         f"whose elements are 0..{len(keys) - 1}")
     blocks = keys[element][0]
     b = len(blocks)
     n0 = n - sum(map(len, blocks))

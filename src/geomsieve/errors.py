@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its size caps."""
 
 
 class GeomsieveError(Exception):
@@ -47,6 +47,33 @@ class NotSimple(MatroidError):
 
 class TooLarge(GeomsieveError, ValueError):
     """An enumeration would exceed the configured size cap."""
+
+
+# -- size caps ---------------------------------------------------------------
+# Every size cap and its reason.  The site that enforces a cap reads it
+# here and refuses a request over it with TooLarge, before the work.
+ELEMENT_CAP = 5000        # lattice elements: the order masks grow as n^2
+TRIANGLE_DEPTH_CAP = 500  # Whitney rows: 0..500 form in 0.05 s, CSV 2.6 s
+NUMBERS_N_CAP = 2000      # exact D_{m,r}(n): n <= 2000 takes 2.5 s, 5 MB
+DIGITS_CAP = 1000         # saddle-point digits: cost grows superlinearly
+SUBSET_CAP = 20           # a 2^n subset walk: 2^20 rank calls and ranks
+
+
+def refuse_over(what, sizes, cap_elements):
+    """Return sizes, increasing lower bounds on the size of what, as a
+    list, or raise TooLarge at the first over the cap, forming no later
+    one.  A size too long to print exactly is worded as a power of two."""
+    read = []
+    for size in sizes:
+        if size > cap_elements:
+            try:
+                shown = str(size)
+            except ValueError:  # past the int-to-str digit limit
+                shown = f"2^{size.bit_length() - 1}"
+            raise TooLarge(f"{what} has at least {shown} elements, "
+                           f"over the cap {cap_elements}")
+        read.append(size)
+    return read
 
 
 class NegativeEntry(GeomsieveError, ValueError):

@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb
 
-from .errors import TooLarge
+from .errors import ELEMENT_CAP, refuse_over
 from .poset import _json_size, build_lattice, lattice_from_json
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "parse_named",
     "set_partitions",
 ]
-
-DEFAULT_CAP = 5000
 
 
 def _members(n):
@@ -147,61 +145,45 @@ def _bell_numbers(n):
         yield row[0]
 
 
-def _refuse_over(what, sizes, cap_elements):
-    """Raise TooLarge at the first of sizes, increasing lower bounds on
-    the size of what, over the cap; no later, larger size is formed.
-    A size too long to print exactly is worded as a power of two."""
-    for size in sizes:
-        if size > cap_elements:
-            try:
-                shown = str(size)
-            except ValueError:  # past the int-to-str digit limit
-                shown = f"2^{size.bit_length() - 1}"
-            raise TooLarge(f"{what} has at least {shown} elements, "
-                           f"over the cap {cap_elements}")
-
-
-def load_lattice(source, cap_elements=DEFAULT_CAP):
+def load_lattice(source, cap_elements=ELEMENT_CAP):
     """Build a lattice from a generator name or a lattice-JSON dict,
     refusing it before the build if it has more elements than the cap."""
     if isinstance(source, str):
         return parse_named(source, cap_elements)
-    _refuse_over("lattice JSON", [_json_size(source)], cap_elements)
+    refuse_over("lattice JSON", [_json_size(source)], cap_elements)
     return lattice_from_json(source)
 
 
-def parse_named(name, cap_elements=DEFAULT_CAP):
+def parse_named(name, cap_elements=ELEMENT_CAP):
     """Build a lattice from a generator name, enforcing the size cap."""
     parts = name.split(":")
     kind = parts[0]
 
     if kind == "boolean" and len(parts) == 2:
         n = int(parts[1])
-        _refuse_over(name, (1 << i for i in range(n + 1)), cap_elements)
+        refuse_over(name, (1 << i for i in range(n + 1)), cap_elements)
         return boolean_lattice(n)
     if kind == "partition" and len(parts) == 2:
         n = int(parts[1])
-        _refuse_over(name, _bell_numbers(n), cap_elements)
+        refuse_over(name, _bell_numbers(n), cap_elements)
         return partition_lattice(n)
     if kind == "chain" and len(parts) == 2:
         r = int(parts[1])
-        _refuse_over(name, [r + 1], cap_elements)
+        refuse_over(name, [r + 1], cap_elements)
         return chain_lattice(r)
     if kind == "divisor" and len(parts) == 2:
         n = int(parts[1])
-        _refuse_over(name, [n], cap_elements)
+        refuse_over(name, [n], cap_elements)
         return divisor_lattice(n)
     if kind == "dowling" and len(parts) == 3:
         from . import dowling
         n, m = int(parts[1]), int(parts[2])
-        dowling._check_caps(n, m, n_cap=n, m_cap=m)
-        _refuse_over(name, dowling._dowling_numbers(m, 1, n), cap_elements)
-        return dowling.build_Qn(n, m, n_cap=n, m_cap=m)
+        return dowling._admit(n, m, cap_elements)[2]
     if kind == "uniform" and len(parts) == 3:
         k, n = int(parts[1]), int(parts[2])
-        # the flats of rank < k and the ground set, one rank at a time
-        _refuse_over(name, accumulate((comb(n, i) for i in range(k)),
-                                      initial=1), cap_elements)
+        # the flats of rank < k, none of rank over n, and the ground set
+        sizes = (comb(n, i) for i in range(min(k, n + 1)))
+        refuse_over(name, accumulate(sizes, initial=1), cap_elements)
         from . import matroid
         mat = matroid.Matroid.uniform(k, n)
         if k <= 1 and n > k:  # a loop (k = 0) or a parallel pair (k = 1)
@@ -211,7 +193,7 @@ def parse_named(name, cap_elements=DEFAULT_CAP):
         if parts[1] not in ("k4", "k5"):
             raise ValueError(f"unknown graph {parts[1]!r}")
         nv = 4 if parts[1] == "k4" else 5
-        _refuse_over(name, _bell_numbers(nv), cap_elements)
+        refuse_over(name, _bell_numbers(nv), cap_elements)
         from . import matroid
         return matroid.flats_lattice(matroid.Matroid.complete_graphic(nv))
     raise ValueError(f"unknown generator name {name!r}")

@@ -14,6 +14,7 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
 
+from . import errors
 from .errors import MatroidError, NotSimple, TooLarge
 from .poset import _bits, build_lattice
 
@@ -24,10 +25,6 @@ __all__ = [
     "closure_mobius",
     "ClosureMobius",
 ]
-
-# Largest n for which a 2^n subset walk is run by default.
-_SUBSET_CAP = 20
-
 
 class Matroid:
     """A matroid on ground set {0..n-1}.
@@ -248,8 +245,8 @@ def _rank_table(matroid):
     call.
     """
     n = matroid.ground_size
-    if n > _SUBSET_CAP:
-        raise TooLarge(f"2^{n} subsets exceed the cap 2^{_SUBSET_CAP}")
+    if n > errors.SUBSET_CAP:
+        raise TooLarge(f"2^{n} subsets exceed the cap 2^{errors.SUBSET_CAP}")
     return list(map(matroid._rank_fn, range(1 << n)))
 
 

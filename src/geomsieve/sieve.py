@@ -26,8 +26,8 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate
 
-from .errors import NotComparable, NotGeometric
-from .generators import DEFAULT_CAP, load_lattice
+from .errors import ELEMENT_CAP, NotComparable, NotGeometric
+from .generators import load_lattice
 from .poset import _is_index, lattice_to_json
 
 __all__ = [
@@ -235,7 +235,7 @@ def sieve_instance_to_json(inst, lattice_name=None):
     return out
 
 
-def sieve_instance_from_json(data, cap_elements=DEFAULT_CAP):
+def sieve_instance_from_json(data, cap_elements=ELEMENT_CAP):
     """Read an instance; "lattice" is inline JSON or a generator name,
     sized against the cap before it is built, and "A" may be the
     string "all"."""

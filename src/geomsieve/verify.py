@@ -46,8 +46,7 @@ def zoo_lattices(fast=False):
     if not fast:
         pairs.append((5, 2))
     for n, m in pairs:
-        out.append((f"dowling:{n}:{m}",
-                    dowling.build_Qn(n, m, n_cap=n, m_cap=m)))
+        out.append((f"dowling:{n}:{m}", dowling.build_Qn(n, m)))
     for name, mat in zoo_matroids(fast):
         out.append((f"flats:{name}", matroid.flats_lattice(mat)))
     return tuple(out)
@@ -76,9 +75,7 @@ def _dowling_instances(fast=False):
     out = []
     for n, m in pairs:
         for k in range(n + 1):
-            out.append((n, m, k,
-                        dowling.dowling_sieve_instance(n, m, k,
-                                                       n_cap=n, m_cap=m)))
+            out.append((n, m, k, dowling.dowling_sieve_instance(n, m, k)))
     return tuple(out)
 
 

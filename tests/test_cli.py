@@ -12,7 +12,7 @@ from decimal import Decimal
 import pytest
 
 import geomsieve
-from geomsieve import cli, dowling, generators, poset
+from geomsieve import cli, dowling, errors, generators, poset
 from geomsieve.cli import main
 from geomsieve.poset import _exact_digits, lattice_from_json, lattice_to_json
 from geomsieve.sieve import sieve_instance_to_json
@@ -286,7 +286,7 @@ def test_sieve_run_inline_lattice(capsys, tmp_path):
 
 def test_lattice_json_over_cap_refused_before_build(capsys, tmp_path,
                                                    monkeypatch):
-    n = generators.DEFAULT_CAP + 1
+    n = errors.ELEMENT_CAP + 1
     chain = {"n": n, "covers": [[i, i + 1] for i in range(n - 1)]}
     lattice_path = tmp_path / "chain.json"
     lattice_path.write_text(json.dumps(chain), encoding="utf-8")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomsieve import dowling, generators, verify
+from geomsieve import dowling, errors, generators, verify
 from geomsieve.dowling import (
     build_Qn,
     canonical_tau_index,
@@ -59,16 +59,47 @@ def test_built_lattices_are_geometric():
 
 
 def test_size_caps():
-    with pytest.raises(TooLarge):
-        build_Qn(6, 2)
-    with pytest.raises(TooLarge):
-        build_Qn(2, 5)
-    # explicit caps override
-    assert len(build_Qn(2, 5, m_cap=5)) == r_dowling_number(5, 1, 2)
-    with pytest.raises(ValueError):
+    # Q_n(Z_m) is admitted by its element count D_m(n) alone
+    assert len(build_Qn(2, 5)) == r_dowling_number(5, 1, 2)
+    assert len(build_Qn(6, 2)) == 4088
+    with pytest.raises(TooLarge, match=r"^dowling:6:3 has at least 12349 "
+                                       r"elements, over the cap 5000$"):
+        build_Qn(6, 3)
+    # a larger one is built under a larger cap: D_5(5) = 5307
+    assert len(generators.parse_named("dowling:5:5", 5307)) == 5307
+    with pytest.raises(ValueError, match=r"^need n >= 0 and m >= 1$"):
         build_Qn(-1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need n >= 0 and m >= 1$"):
         build_Qn(2, 0)
+
+
+def test_sieve_instance_admitted_by_element_count():
+    # Q_6(Z_2) has 4088 elements; the closed form is D_{2,1+2k}(6 - k)
+    inst = dowling_sieve_instance(6, 2, 2)
+    assert inst.X == 4088
+    assert sifted_count_exact(inst) == dowling_sieve_closed_form(2, 6, 2)
+    with pytest.raises(TooLarge, match=r"^dowling:6:3 has at least 12349 "
+                                       r"elements, over the cap 5000$"):
+        dowling_sieve_instance(6, 3, 1)
+    # keyword caps, when given, refuse as they always did
+    with pytest.raises(TooLarge, match=r"^Q_3\(Z_2\) exceeds caps n<=2, "
+                                       r"m<=2; raise them explicitly if "
+                                       r"you mean it$"):
+        dowling_sieve_instance(3, 2, 1, n_cap=2, m_cap=2)
+    with pytest.raises(TooLarge, match=r"^Q_2\(Z_3\) exceeds caps n<=2, "
+                                       r"m<=2; "):
+        dowling_sieve_instance(2, 3, 1, n_cap=2, m_cap=2)
+    assert dowling_sieve_instance(3, 2, 1, n_cap=3, m_cap=2).X == 24
+
+
+@pytest.mark.parametrize("element", [-1, 24])
+def test_interval_profile_check_refuses_an_element_outside(element):
+    # Q_3(Z_2) has the 24 elements 0..23
+    with pytest.raises(ValueError, match=rf"^element {element} is not in "
+                                         r"Q_3\(Z_2\), whose elements are "
+                                         r"0\.\.23$"):
+        interval_profile_check(3, 2, element)
+    assert interval_profile_check(3, 2, 23).ok
 
 
 def test_partial_partition_validation():
@@ -605,7 +636,7 @@ def test_r_dowling_number_holds_one_row():
         "conv_grid_check"])
 def test_triangles_refuse_depth_over_cap_before_any_row(monkeypatch, call,
                                                         triangle_steps):
-    monkeypatch.setattr(dowling, "_TRIANGLE_N_CAP", 10)
+    monkeypatch.setattr(errors, "TRIANGLE_DEPTH_CAP", 10)
     with pytest.raises(TooLarge, match=r"^need triangle depth <= 10, the "
                                        r"cap on Whitney rows \(asked for "
                                        r"1[01]\)$"):

@@ -3,7 +3,7 @@ cap are refused with TooLarge before any lattice or triangle is built."""
 
 import pytest
 
-from geomsieve import dowling, generators, matroid, poset
+from geomsieve import dowling, errors, generators, matroid, poset
 from geomsieve.cli import main
 from geomsieve.errors import NotSimple, TooLarge
 from geomsieve.sieve import sieve_instance_from_json
@@ -104,9 +104,66 @@ def test_lattice_json_cap_boundary(monkeypatch):
         generators.load_lattice(chain_json(6), 5)
 
 
+def test_every_cap_refuses_just_above_it_before_any_work(
+        monkeypatch, row_steps, triangle_steps):
+    # one request per cap of the errors table, each one over its cap
+    import mpmath
+
+    from geomsieve import asym
+
+    refuse_to_build(monkeypatch)
+    contexts, ranks = [], []
+    monkeypatch.setattr(mpmath, "workdps", contexts.append)
+
+    def rank(mask):
+        ranks.append(mask)
+        return mask.bit_count()
+
+    requests = {
+        "ELEMENT_CAP": lambda: generators.parse_named(
+            f"chain:{errors.ELEMENT_CAP}"),  # a chain of ELEMENT_CAP + 1
+        "TRIANGLE_DEPTH_CAP": lambda: dowling.whitney_second_rows(
+            2, 1, errors.TRIANGLE_DEPTH_CAP + 1),
+        "NUMBERS_N_CAP": lambda: dowling.r_dowling_number(
+            2, 1, errors.NUMBERS_N_CAP + 1),
+        "DIGITS_CAP": lambda: asym.solve_delta(
+            1, 1, 50, digits=errors.DIGITS_CAP + 1),
+        "SUBSET_CAP": lambda: matroid.char_poly(matroid.Matroid(
+            errors.SUBSET_CAP + 1, rank, "counted")),
+    }
+    assert set(requests) == {name for name in vars(errors)
+                             if name.endswith("_CAP")}
+    for name, request in requests.items():
+        with pytest.raises(TooLarge):
+            request()
+    assert row_steps == triangle_steps == contexts == ranks == []
+
+
+def test_uniform_rank_far_over_the_ground_set_refused_at_once(monkeypatch):
+    # no flat has rank over n, so only C(5, 0..5) are formed before
+    # Matroid.uniform refuses k > n, however large k is
+    calls = []
+    comb = generators.comb
+
+    def counted(n, i):
+        calls.append(i)
+        if i > n:
+            raise AssertionError(f"C({n}, {i}) formed")
+        return comb(n, i)
+
+    monkeypatch.setattr(generators, "comb", counted)
+    with pytest.raises(ValueError, match=r"^need 0 <= k <= n$"):
+        generators.parse_named("uniform:10000000000:5")
+    assert calls == list(range(6))
+    # a k over n whose sizes pass the cap before rank n is refused by size
+    with pytest.raises(TooLarge, match=r"^uniform:50:40 has at least 10702 "
+                                       r"elements, over the cap 5000$"):
+        generators.parse_named("uniform:50:40")
+
+
 def test_sieve_inline_lattice_capped_by_default(monkeypatch):
     refuse_to_build(monkeypatch)
-    data = {"lattice": chain_json(generators.DEFAULT_CAP + 1), "A": [],
+    data = {"lattice": chain_json(errors.ELEMENT_CAP + 1), "A": [],
             "T": [], "f": ["0"], "X": "1"}
     with pytest.raises(TooLarge, match=r"over the cap 5000$"):
         sieve_instance_from_json(data)
