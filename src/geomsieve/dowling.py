@@ -437,9 +437,9 @@ def interval_profile_check(n, m, element):
     is Q_{n0}(Z_m) on the n0 absorbed elements times a partition
     lattice Pi_|B| = Q_{|B|-1}(Z_1) for each block B, so both of its
     Whitney rows are convolutions of the factors' rows read by rank.
-    The actual profiles are read from the parent's order masks: with
-    R_i the positions of rank i, W_i([e, top]) counts up(e) & R_{r+i}
-    and W_i([bottom, e]) counts down(e) & R_i.
+    The actual profiles are read from the parent's order masks
+    (FiniteLattice._rank_profiles): W_i([e, top]) counts the elements of
+    up(e) of rank r + i and W_i([bottom, e]) those of down(e) of rank i.
     """
     keys, _index, lat, _counts = _admit(n, m)
     if not 0 <= element < len(keys):
@@ -459,16 +459,7 @@ def interval_profile_check(n, m, element):
         lower = _convolve(lower, part_second[len(blk) - 1][::-1])
         first = _convolve(first, part_first[len(blk) - 1][::-1])
 
-    # positions are sorted by rank, so each R_i is one run of bits
-    rank_masks, start = [], 0
-    for count in lat.whitney_second():
-        rank_masks.append(((1 << count) - 1) << start)
-        start += count
-    pos = lat._pos_of[element]
-    up, down, r = lat._up[pos], lat._down[pos], lat.rank[element]
-    upper_actual = tuple((up & mask).bit_count() for mask in rank_masks[r:])
-    lower_actual = tuple((down & mask).bit_count()
-                         for mask in rank_masks[:r + 1])
+    upper_actual, lower_actual = lat._rank_profiles(element)
     first_actual = lat._whitney_below(element)
     lower_expected, first_expected = tuple(lower), tuple(first)
 

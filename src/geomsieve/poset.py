@@ -7,21 +7,26 @@ Before any of that, a cover list longer than a lattice on n elements
 can have (see _refuse_dense) is refused.  After that every query method
 may assume a genuine graded lattice.
 
-Internally elements are re-sorted by rank into "positions" and the
-order relation is stored as two bitmask rows per element (down-set and
-up-set).  In that layout the meet of x and y is the highest set bit of
-down[x] & down[y] and the join is the lowest set bit of up[x] & up[y].
+Internally elements are re-sorted by rank into "positions", each rank
+one run of them; the build records where each run starts.  The order is
+one down-set and one up-set mask per element, each as long as the
+positions on its side: down[p] holds each q <= p at bit q and up[p]
+each q >= p at bit n - 1 - q.  The meet of x and y is the highest set
+bit of down[x] & down[y], and the join the least position in
+up[x] & up[y], read off its bit length too (a lowest-set-bit search
+costs a two's-complement pass over the mask).  No cover list is kept:
+lat.covers reads the upper covers of x off up[x], in the next rank.
 
 The lattice property is certified locally, from cover pairs only: for
-every element z and every two elements x, y covering z, the lowest set
-bit j of up[x] & up[y] must have exactly that up-set, i.e. j = x v y.
-This suffices in a finite poset with a bottom.  Every pair x, y then
-has a common lower bound z, and induction downwards on z gives x v y:
-pick covers z < x1 <= x and z < y1 <= y.  If x1 = y1 it is a higher
-common lower bound.  Otherwise w = x1 v y1 exists, the pairs (x, w) and
-(x v w, y) have the higher common lower bounds x1 and y1, and
-(x v w) v y, which lies below every upper bound of x and y, is their
-join.  With a top as well, all joins give all meets.
+every element z and every two elements x, y covering z, the least
+position j in up[x] & up[y] must have exactly that up-set, i.e.
+j = x v y.  This suffices in a finite poset with a bottom.  Every pair
+x, y then has a common lower bound z, and induction downwards on z
+gives x v y: pick covers z < x1 <= x and z < y1 <= y.  If x1 = y1 it is
+a higher common lower bound.  Otherwise w = x1 v y1 exists, the pairs
+(x, w) and (x v w, y) have the higher common lower bounds x1 and y1,
+and (x v w) v y, which lies below every upper bound of x and y, is
+their join.  With a top as well, all joins give all meets.
 
 The same pairs certify semimodularity: a finite graded lattice is
 semimodular iff x v y has rank r(z) + 2 whenever x and y cover z
@@ -32,18 +37,15 @@ join, and the first kept below y is the witness for [0, y].
 The build walks the cover list a fixed number of times.  Whole-list
 tests in C (pair shape and type, range, self-loops, repeats) check it;
 only when one fails is it walked pair by pair, to name the first bad
-pair.  One Python walk then lists the upper covers of each element and
-counts its lower covers; the sorted lists give lat.covers.  Kahn's
-topological sort over those lists is the cycle check and sets the
-longest-chain ranks as it goes.  Every cover climbs at least one rank,
-so gradedness is one sum: the climbs must add up to the number of
-covers.  Positions come from rank buckets, and the upper covers are
-relabelled to positions once; that one adjacency feeds the closure and
-the cover scan, and the lower-cover counts give the atomistic mask
-below.  The scan keeps its own up-sets with bits in reverse position
-order, so the least element of up[x] & up[y] is read off its bit
-length, where the lowest set bit costs a two's-complement pass over
-the whole mask.
+pair.  One Python walk then lists the upper covers of each element,
+sorted (which fixes the scan order, and so the witnesses), and counts
+its lower covers.  Kahn's topological sort over those lists is the
+cycle check and sets the longest-chain ranks as it goes.  Every cover
+climbs at least one rank, so gradedness is one sum: the climbs must add
+up to the number of covers.  Positions come from rank buckets, and the
+upper covers are relabelled to positions once; that one adjacency feeds
+the closure, whose up-sets the cover scan reads, and the lower-cover
+counts give the atomistic mask below.
 
 Atomistic, from lower-cover counts: an element of rank >= 2 covering a
 single y has all its atoms below y, so it is no join of atoms; and the
@@ -67,9 +69,9 @@ their tables are summed almost entirely by masks.
 import contextlib
 import sys
 from collections import namedtuple
-from itertools import chain
+from itertools import accumulate, chain
 from math import isqrt
-from operator import eq, mul
+from operator import eq, mul, sub
 
 from .errors import (
     Cyclic,
@@ -106,18 +108,18 @@ class GeometricCheck(namedtuple("GeometricCheck", "ok failure witness",
 class FiniteLattice:
     """Immutable finite graded lattice.  Use build_lattice() to create one."""
 
-    def __init__(self, n, covers, labels, rank, bottom, top,
-                 pos_of, idx_of, down, up, semi_fail, lone):
+    def __init__(self, n, labels, rank, bottom, top, pos_of, idx_of,
+                 starts, down, up, semi_fail, lone):
         self.n_elems = n
-        self.covers = covers
         self.labels = labels
         self.rank = rank
         self.bottom = bottom
         self.top = top
         self._pos_of = pos_of
         self._idx_of = idx_of
-        self._down = down
-        self._up = up
+        self._starts = starts  # first position of each rank, then n
+        self._down = down  # position q at bit q
+        self._up = up  # position q at bit n - 1 - q
         self._semi_fail = semi_fail  # join position -> first breaking pair
         self._lone = lone  # positions not a join of atoms: one lower cover
         self._mobius_cache = {}
@@ -135,8 +137,25 @@ class FiniteLattice:
     def top_rank(self):
         return self.rank[self.top]
 
+    @property
+    def covers(self):
+        """The cover pairs (x, y), sorted: x's upper covers are its up-set's
+        part of the next rank's run, which ascends with the index."""
+        n, s, idx_of, up = self.n_elems, self._starts, self._idx_of, self._up
+        top, out = self.top_rank, []
+        for x, (p, r) in enumerate(zip(self._pos_of, self.rank)):
+            if r == top:
+                continue
+            lo, hi = s[r + 1], s[r + 2]
+            run = f"{up[p] >> n - hi & (1 << hi - lo) - 1:0{hi - lo}b}"
+            k = run.find("1")  # run[k] is position lo + k
+            while k >= 0:
+                out.append((x, idx_of[lo + k]))
+                k = run.find("1", k + 1)
+        return tuple(out)
+
     def leq(self, x, y):
-        return bool(self._up[self._pos_of[x]] >> self._pos_of[y] & 1)
+        return bool(self._down[self._pos_of[y]] >> self._pos_of[x] & 1)
 
     def down_set(self, x):
         """Indices of all y <= x, in increasing rank order."""
@@ -144,7 +163,12 @@ class FiniteLattice:
 
     def up_set(self, x):
         """Indices of all y >= x, in increasing rank order."""
-        return [self._idx_of[p] for p in _bits(self._up[self._pos_of[x]])]
+        return [self._idx_of[p] for p in _bits(self._up_mask(x))]
+
+    def _up_mask(self, x):
+        """The up-set of x with position q at bit q, as down-sets have it."""
+        p = self._pos_of[x]
+        return int(f"{self._up[p]:0{self.n_elems - p}b}"[::-1], 2) << p
 
     # -- lattice operations --------------------------------------------
 
@@ -154,7 +178,7 @@ class FiniteLattice:
 
     def join(self, x, y):
         u = self._up[self._pos_of[x]] & self._up[self._pos_of[y]]
-        return self._idx_of[(u & -u).bit_length() - 1]
+        return self._idx_of[self.n_elems - u.bit_length()]
 
     def join_all(self, xs):
         """Join of any finite family; the empty join is the bottom."""
@@ -165,7 +189,30 @@ class FiniteLattice:
 
     def atoms(self):
         """Elements covering the bottom (equivalently, rank 1)."""
-        return sorted(y for x, y in self.covers if x == self.bottom)
+        s = self._starts
+        return self._idx_of[s[1]:s[2]] if len(s) > 2 else []
+
+    def _up_bits(self, counts):
+        """(bit, multiplicity) pairs from a Counter of elements, one per
+        element: the bit that element takes in every up-set mask."""
+        last, pos_of = self.n_elems - 1, self._pos_of
+        return [(last - pos_of[a], k) for a, k in counts.items()]
+
+    def _count_above(self, y, pairs):
+        """Sum of the multiplicities of _up_bits pairs whose element lies
+        above y: one bit test per pair."""
+        up = self._up[self._pos_of[y]]
+        return sum(k for b, k in pairs if up >> b & 1)
+
+    def _rank_profiles(self, x):
+        """(upper, lower): the number of y >= x in each rank from rank(x)
+        to the top, and of y <= x in each rank up to rank(x), each the
+        difference of two popcounts of a mask cut at a rank run's ends."""
+        p, r, n, s = self._pos_of[x], self.rank[x], self.n_elems, self._starts
+        before = [(self._up[p] >> n - q).bit_count() for q in s]
+        after = [(self._down[p] >> q).bit_count() for q in s]
+        return (tuple(map(sub, before[r + 1:], before[r:-1])),
+                tuple(map(sub, after[:r + 1], after[1:r + 2])))
 
     # -- geometric test -------------------------------------------------
 
@@ -208,7 +255,7 @@ class FiniteLattice:
 
     def _compute_mobius(self, x):
         px = self._pos_of[x]
-        up_x = self._up[px]
+        up_x = self._up_mask(x)
         mu = [0] * self.n_elems
         mu[px] = 1
         masks = {1: 1 << px}  # value v -> positions settled with mu = v
@@ -240,10 +287,7 @@ class FiniteLattice:
 
     def whitney_second(self):
         """W_i = number of elements of rank i (the rank profile)."""
-        w = [0] * (self.top_rank + 1)
-        for y in range(self.n_elems):
-            w[self.rank[y]] += 1
-        return tuple(w)
+        return tuple(map(sub, self._starts[1:], self._starts[:-1]))
 
 
 def _bits(mask):
@@ -255,29 +299,18 @@ def _bits(mask):
         i = s.find("1", i + 1)
 
 
-def _transitive_closure(n, covers):
-    """Reflexive-transitive closure of a cover relation on positions.
-
-    Positions must be topologically sorted (x < y for every cover
-    (x, y)).  Returns (down, up): down[i] is the bitmask of {j : j <= i}
-    and up[i] the bitmask of {j : i <= j}.
-    """
-    parents = [[] for _ in range(n)]
-    for x, y in covers:
-        parents[x].append(y)
-    return _closure(parents)
-
-
 def _closure(parents):
-    """(down, up) of _transitive_closure, from the upper covers of each
-    position: down pushed up the covers, up pulled down them."""
+    """(down, up) of the order on positions, from the upper covers of
+    each position (positions topologically sorted): down[i] holds the
+    j <= i with j at bit j, pushed up the covers, and up[i] the j >= i
+    with j at bit n - 1 - j, pulled down them."""
     n = len(parents)
     down = [1 << i for i in range(n)]
     for x, ps in enumerate(parents):
         d = down[x]
         for y in ps:
             down[y] |= d
-    up = [1 << i for i in range(n)]
+    up = [1 << n - 1 - i for i in range(n)]
     for x in range(n - 1, -1, -1):
         u = up[x]
         for p in parents[x]:
@@ -286,36 +319,27 @@ def _closure(parents):
     return down, up
 
 
-def _cover_scan(parents, rank):
+def _cover_scan(parents, rank, up):
     """Check the join of every two upper covers of a common element.
 
-    parents[z] lists the upper covers of position z.  Positions must
-    refine rank order and the poset must have a unique bottom and top.
-    Returns (join_fail, semi_fail): join_fail is the first cover pair
-    without a join (the scan stops there), semi_fail maps each join
-    position j, in scan order, to the first pair whose join is j and
-    does not sit two ranks above the element they cover.
-
-    The scan keeps its own up-sets with position p at bit n - 1 - p, so
-    the least position j of an intersection is read off its bit length
-    rather than found by a lowest-bit search over the whole mask.
+    parents[z] lists the upper covers of position z and up holds the
+    up-sets of _closure.  Positions must refine rank order and the poset
+    must have a unique bottom and top.  Returns (join_fail, semi_fail):
+    join_fail is the first cover pair without a join (the scan stops
+    there), semi_fail maps each join position j, in scan order, to the
+    first pair whose join is j and does not sit two ranks above the
+    element they cover.
     """
     n = len(parents)
-    rup = [1 << (n - 1 - p) for p in range(n)]
-    for x in range(n - 1, -1, -1):
-        r = rup[x]
-        for p in parents[x]:
-            r |= rup[p]
-        rup[x] = r
     semi_fail = {}
     for z, ps in enumerate(parents):
         rz2 = rank[z] + 2
         for i, x in enumerate(ps):
-            rx = rup[x]
+            ux = up[x]
             for y in ps[i + 1:]:
-                u = rx & rup[y]
+                u = ux & up[y]
                 j = n - u.bit_length()
-                if rup[j] != u:
+                if up[j] != u:
                     return (x, y), None
                 if rank[j] != rz2:
                     semi_fail.setdefault(j, (x, y))
@@ -406,7 +430,6 @@ def build_lattice(n_elems, covers, labels=None):
         lower[y] += 1
     for ps in parents:
         ps.sort()
-    covers = tuple((x, y) for x, ps in enumerate(parents) for y in ps)
 
     # Kahn's topological sort is the cycle check; it pushes ranks up
     # the covers, so an element's rank is final when it is queued
@@ -438,15 +461,17 @@ def build_lattice(n_elems, covers, labels=None):
     # every cover climbs at least one rank, so each climbs exactly one
     # iff the climbs add up to the number of covers
     climb = sum(map(mul, rank, lower)) - sum(map(mul, rank, map(len, parents)))
-    if climb != len(covers):
-        for x, y in covers:
-            if rank[y] != rank[x] + 1:
-                raise NotGraded(
-                    f"cover ({x}, {y}) skips ranks {rank[x]} -> {rank[y]}")
+    if climb != len(xs):
+        for x, ps in enumerate(parents):
+            for y in ps:
+                if rank[y] != rank[x] + 1:
+                    raise NotGraded(f"cover ({x}, {y}) skips ranks "
+                                    f"{rank[x]} -> {rank[y]}")
 
     buckets = [[] for _ in range(rank[top] + 1)]
     for v in range(n_elems):
         buckets[rank[v]].append(v)
+    starts = (0, *accumulate(map(len, buckets)))
     order = list(chain.from_iterable(buckets))
     pos_of = [0] * n_elems
     for p, idx in enumerate(order):
@@ -455,7 +480,7 @@ def build_lattice(n_elems, covers, labels=None):
     pos_rank = list(map(rank.__getitem__, order))
 
     down, up = _closure(pos_parents)
-    join_fail, semi_fail = _cover_scan(pos_parents, pos_rank)
+    join_fail, semi_fail = _cover_scan(pos_parents, pos_rank, up)
     if join_fail is not None:
         a, b = (order[join_fail[0]], order[join_fail[1]])
         raise NotALattice(f"elements {a} and {b} have no join")
@@ -465,13 +490,13 @@ def build_lattice(n_elems, covers, labels=None):
                if lower[idx] == 1 and rank[idx] >= 2)
     return FiniteLattice(
         n=n_elems,
-        covers=covers,
         labels=list(labels) if labels is not None else None,
         rank=rank,
         bottom=bottom,
         top=top,
         pos_of=pos_of,
         idx_of=order,
+        starts=starts,
         down=down,
         up=up,
         semi_fail=semi_fail,

@@ -136,16 +136,14 @@ def count_above(inst, y):
 
 
 def _position_counts(inst):
-    """A as (position, multiplicity) pairs, one per distinct element."""
-    pos_of = inst.lattice._pos_of
-    return [(pos_of[a], k) for a, k in Counter(inst.A).items()]
+    """A as (bit, multiplicity) pairs for _count_up, one per distinct
+    element: the bit that element takes in the lattice's up-sets."""
+    return inst.lattice._up_bits(Counter(inst.A))
 
 
 def _count_up(lat, y, pairs):
-    """#A_y from A's (position, multiplicity) pairs: the multiplicities
-    whose position is set in the up-set mask of y."""
-    up = lat._up[lat._pos_of[y]]
-    return sum(k for p, k in pairs if up >> p & 1)
+    """#A_y from A's pairs: one bit test per distinct element."""
+    return lat._count_above(y, pairs)
 
 
 def _interval_whitney(inst):
@@ -179,7 +177,7 @@ def _rank_sums(inst, top):
     """S_k = sum of mu(bottom, y) * #A_y over the y <= tau of rank k,
     for k = 0..min(top, rank tau): one walk of down(tau), which ascends
     by rank, stopped at the first y of rank > top.  A is read into its
-    (position, multiplicity) pairs once, and each #A_y costs one bit
+    (bit, multiplicity) pairs once, and each #A_y costs one bit
     test per distinct element of A; every y is below tau by
     construction, so no order test is made."""
     lat = inst.lattice

@@ -170,3 +170,21 @@ def test_alternating_sums_check_catches_a_wrong_mobius_value(monkeypatch):
     assert result.ok is False
     assert result.detail == ("boolean:4: Mobius sums over the whole lattice "
                              "must vanish")
+
+
+def test_sign_check_fires_on_a_zeroed_second_whitney_number(monkeypatch):
+    # with w_2 = 0 the partial sum at cutoff 2 is w_0 + w_1 = 1 - #atoms,
+    # negative at an even cutoff: the paper's sign statement fails first
+    right = poset.FiniteLattice.whitney_first
+
+    def w2_zero(lat):
+        w = right(lat)
+        return w[:2] + (0,) + w[3:] if len(w) > 2 else w
+
+    monkeypatch.setattr(poset.FiniteLattice, "whitney_first", w2_zero)
+    with pytest.raises(BrunViolation) as info:
+        verify_brun(generators.parse_named("boolean:4"))
+    assert str(info.value) == "even cutoff 2 gives -3 < 0"
+    detail = "boolean:2: even cutoff 2 gives -1 < 0"
+    assert verify.check_brun_zoo(fast=True) == (False, detail)
+    assert verify.check_alternating_sequences(fast=True) == (False, detail)

@@ -20,9 +20,22 @@ from hypothesis import strategies as st
 from geomsieve import generators
 from geomsieve.errors import (LatticeError, MultipleMaxima, MultipleMinima,
                               NotALattice, NotGraded)
-from geomsieve.poset import _bits, _transitive_closure, build_lattice
+from geomsieve.poset import _bits, _closure, build_lattice
 
 import oracles
+
+
+def closure(n, covers):
+    """poset._closure of a cover relation on positions 0..n-1."""
+    parents = [[] for _ in range(n)]
+    for x, y in covers:
+        parents[x].append(y)
+    return _closure(parents)
+
+
+def forward(n, up):
+    """Up-sets with position j at bit j, from _closure's n - 1 - j."""
+    return [int(f"{u:0{n}b}"[::-1], 2) for u in up]
 
 
 def positioned(lat):
@@ -50,15 +63,17 @@ def test_closure_parity_and_correctness(name):
     # The bitmask closure agrees with the oracle's relational closure.
     lat = generators.parse_named(name)
     n, covers, rank, order, pos = positioned(lat)
-    down, up = _transitive_closure(n, covers)
+    down, up = closure(n, covers)
     rel = oracles.leq_matrix(n, lat.covers)
     for px, py in itertools.combinations(range(n), 2):
         expected = (order[px], order[py]) in rel
         assert bool(down[py] >> px & 1) == expected
-        assert bool(up[px] >> py & 1) == expected
+        assert bool(up[px] >> n - 1 - py & 1) == expected
     for p in range(n):
         assert down[p] >> p & 1
-        assert up[p] >> p & 1
+        assert up[p] >> n - 1 - p & 1
+        # no position below p in its up-set: the mask is n - p bits long
+        assert up[p].bit_length() == n - p
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -68,10 +83,10 @@ def test_closure_independent_of_cover_order(seed):
     for name in ["boolean:4", "partition:4", "dowling:2:2"]:
         lat = generators.parse_named(name)
         n, covers, rank, order, pos = positioned(lat)
-        reference = _transitive_closure(n, sorted(covers))
+        reference = closure(n, sorted(covers))
         shuffled = list(covers)
         random.Random(seed).shuffle(shuffled)
-        assert _transitive_closure(n, shuffled) == reference
+        assert closure(n, shuffled) == reference
 
 
 def test_large_lattice_crosses_word_boundary():
@@ -79,11 +94,13 @@ def test_large_lattice_crosses_word_boundary():
     lat = generators.parse_named("boolean:7")
     n, covers, rank, order, pos = positioned(lat)
     assert n == 128
-    down, up = _transitive_closure(n, covers)
+    down, up = closure(n, covers)
     top = max(range(n), key=lambda p: rank[p])
     assert down[top] == (1 << n) - 1
+    assert up[0] == (1 << n) - 1
     for p in range(n):
         assert bin(down[p]).count("1") == 1 << rank[p]
+        assert bin(up[p]).count("1") == 1 << 7 - rank[p]
 
 
 def expected_geometric_failure(n, rel, bottom, semi_fail):
@@ -151,8 +168,9 @@ def test_scan_pairs_reports_missing_meet():
     # Two incomparable minimal elements share no lower bound.  The
     # oracle reports the missing meet; build_lattice refuses the poset
     # for its second minimum before any pair is scanned.
-    down, up = _transitive_closure(2, [])
-    assert oracles.scan_pairs(2, down, up, [0, 0]) == ((0, 1), None, None)
+    down, up = closure(2, [])
+    assert oracles.scan_pairs(2, down, forward(2, up), [0, 0]) == \
+        ((0, 1), None, None)
     with pytest.raises(MultipleMinima):
         build_lattice(2, [])
 
@@ -162,8 +180,9 @@ def test_scan_pairs_reports_missing_join():
     # oracle reports the missing join; build_lattice refuses the poset
     # for its second maximum before any pair is scanned.
     covers = [(0, 1), (0, 2)]
-    down, up = _transitive_closure(3, covers)
-    assert oracles.scan_pairs(3, down, up, [0, 1, 1]) == (None, (1, 2), None)
+    down, up = closure(3, covers)
+    assert oracles.scan_pairs(3, down, forward(3, up), [0, 1, 1]) == \
+        (None, (1, 2), None)
     with pytest.raises(MultipleMaxima):
         build_lattice(3, covers)
 
