@@ -29,34 +29,30 @@ __all__ = [
 ]
 
 
-def _check_entries(seq):
+def _nonnegative(seq, negative=lambda i: NegativeEntry(
+        f"entry {i} is negative")):
+    """seq as a list, each entry's type and sign checked once:
+    ValueError if it is empty, TypeError at the first entry not an int
+    or a Fraction, then negative(i) raised at the first negative i."""
+    seq = list(seq)
     if len(seq) == 0:
         raise ValueError("empty sequence")
     for i, v in enumerate(seq):
         if isinstance(v, int):
             continue
-        from fractions import Fraction
+        from fractions import Fraction  # only when an entry is no int
         if not isinstance(v, Fraction):
             raise TypeError(
                 f"entry {i} is {type(v).__name__}; use int or Fraction")
-
-
-def _nonnegative(seq):
-    """seq as a checked list; NegativeEntry at a negative entry."""
-    seq = list(seq)
-    _check_entries(seq)
     for i, v in enumerate(seq):
         if v < 0:
-            raise NegativeEntry(f"entry {i} is negative")
+            raise negative(i)
     return seq
 
 
-def is_unimodal(seq):
-    """(True, peak) with the smallest valid peak index, or (False, None).
-
-    Entries must be non-negative (NegativeEntry otherwise).
-    """
-    seq = _nonnegative(seq)
+def _peak(seq):
+    """The smallest peak index of a checked non-negative list, or None
+    if it is not unimodal."""
     last = len(seq) - 1
     i1 = 0
     while i1 < last and seq[i1] <= seq[i1 + 1]:
@@ -64,9 +60,16 @@ def is_unimodal(seq):
     i2 = last
     while i2 > 0 and seq[i2 - 1] >= seq[i2]:
         i2 -= 1
-    if i2 <= i1:
-        return True, i2
-    return False, None
+    return i2 if i2 <= i1 else None
+
+
+def is_unimodal(seq):
+    """(True, peak) with the smallest valid peak index, or (False, None).
+
+    Entries must be non-negative (NegativeEntry otherwise).
+    """
+    peak = _peak(_nonnegative(seq))
+    return peak is not None, peak
 
 
 def is_log_concave(seq):
@@ -100,23 +103,15 @@ def alternating_partial_sums_check(seq):
     cutoff gives t_k >= 0 and every odd cutoff t_k <= 0; a failure
     there would contradict a proven fact, so it raises BrunViolation.
     """
-    seq = list(seq)
-    _check_entries(seq)
-    for i, v in enumerate(seq):
-        if v < 0:
-            raise HypothesisViolated("non-negative", i)
-    ok, _peak = is_unimodal(seq)
-    if not ok:
+    seq = _nonnegative(seq, lambda i: HypothesisViolated("non-negative", i))
+    if _peak(seq) is None:
         raise HypothesisViolated("unimodal", tuple(seq))
-    partial = []
-    t = 0
-    for i, v in enumerate(seq):
-        t += v if i % 2 == 0 else -v
-        partial.append(t)
+    partial = tuple(accumulate(v if i % 2 == 0 else -v
+                               for i, v in enumerate(seq)))
     if partial[-1] != 0:
         raise HypothesisViolated("zero-alternating-sum", partial[-1])
     _check_signs(partial)
-    return tuple(partial)
+    return partial
 
 
 class BrunReport(namedtuple("BrunReport", "whitney_first partial_sums")):

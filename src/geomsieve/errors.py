@@ -59,6 +59,17 @@ DIGITS_CAP = 1000         # saddle-point digits: cost grows superlinearly
 SUBSET_CAP = 20           # a 2^n subset walk: 2^20 rank calls and ranks
 
 
+def shown(value):
+    """str(value), or for an int too long to print exactly (past the
+    int-to-str digit limit) the power of two its size reaches: ">=2^k",
+    or "<=-2^k" when negative."""
+    try:
+        return str(value)
+    except ValueError:  # past the int-to-str digit limit
+        power = f"2^{abs(value).bit_length() - 1}"
+        return f"<=-{power}" if value < 0 else f">={power}"
+
+
 def refuse_over(what, sizes, cap_elements):
     """Return sizes, increasing lower bounds on the size of what, as a
     list, or raise TooLarge at the first over the cap, forming no later
@@ -66,11 +77,8 @@ def refuse_over(what, sizes, cap_elements):
     read = []
     for size in sizes:
         if size > cap_elements:
-            try:
-                shown = str(size)
-            except ValueError:  # past the int-to-str digit limit
-                shown = f"2^{size.bit_length() - 1}"
-            raise TooLarge(f"{what} has at least {shown} elements, "
+            raise TooLarge(f"{what} has at least "
+                           f"{shown(size).removeprefix('>=')} elements, "
                            f"over the cap {cap_elements}")
         read.append(size)
     return read

@@ -27,7 +27,7 @@ from itertools import accumulate
 from math import comb
 
 from .errors import ELEMENT_CAP, refuse_over
-from .poset import _json_size, build_lattice, lattice_from_json
+from .poset import build_lattice, lattice_from_json
 
 __all__ = [
     "boolean_lattice",
@@ -150,8 +150,7 @@ def load_lattice(source, cap_elements=ELEMENT_CAP):
     refusing it before the build if it has more elements than the cap."""
     if isinstance(source, str):
         return parse_named(source, cap_elements)
-    refuse_over("lattice JSON", [_json_size(source)], cap_elements)
-    return lattice_from_json(source)
+    return lattice_from_json(source, cap_elements)
 
 
 def parse_named(name, cap_elements=ELEMENT_CAP):
@@ -186,6 +185,7 @@ def parse_named(name, cap_elements=ELEMENT_CAP):
         refuse_over(name, accumulate(sizes, initial=1), cap_elements)
         from . import matroid
         mat = matroid.Matroid.uniform(k, n)
+        mat.cap_flats = cap_elements  # its flats were counted just above
         if k <= 1 and n > k:  # a loop (k = 0) or a parallel pair (k = 1)
             raise matroid._not_simple(mat)
         return matroid.flats_lattice(mat)

@@ -31,8 +31,11 @@ class Matroid:
 
     The rank function never changes, so the flats and their covers are
     swept once per instance: flats(), flats_lattice() and the callers
-    of either share the first sweep's result.
+    of either share the first sweep's result, which is refused with
+    TooLarge past cap_flats flats.
     """
+
+    cap_flats = errors.ELEMENT_CAP
 
     def __init__(self, n, rank_fn, kind, meta=None):
         if n < 0:
@@ -152,7 +155,9 @@ class Matroid:
         cover is met once from the least element outside the covers
         found so far, and its closure tests only the elements outside
         those covers, one rank call each.  A set of full rank closes to
-        the ground set without a test.
+        the ground set without a test.  Once the flats found exceed
+        cap_flats the sweep is refused with TooLarge, after the flat
+        whose covers crossed it.
         """
         rank_fn = self._rank_fn
         ground = (1 << self.ground_size) - 1
@@ -185,6 +190,9 @@ class Matroid:
                     if g not in members:
                         members[g] = tuple(_bits(g))
                         nxt.append(g)
+                if len(members) > self.cap_flats:
+                    errors.refuse_over(f"the lattice of flats of {self!r}",
+                                       [len(members)], self.cap_flats)
             level = nxt
             r += 1
         index = {m: i for i, m in enumerate(masks)}

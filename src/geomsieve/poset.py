@@ -1,11 +1,14 @@
 """Finite graded lattices with exact Mobius-function machinery.
 
-A lattice is built from its cover relation.  Construction validates the
-whole contract up front: acyclicity, unique bottom and top, gradedness
-of the covers against longest-chain rank, and existence of all joins.
-Before any of that, a cover list longer than a lattice on n elements
-can have (see _refuse_dense) is refused.  After that every query method
-may assume a genuine graded lattice.
+A lattice is built from its cover relation, and build_lattice is the one
+place that checks it, for every source (generators, matroids, lattice
+JSON).  A cover list longer than a lattice on n elements can have (see
+_refuse_dense) is refused by its length first.  Then each cover must be
+a pair (tuple or list) of non-bool ints in range, with no self-loop and
+no repeat.  Then the whole contract is validated up front: acyclicity,
+unique bottom and top, gradedness of the covers against longest-chain
+rank, and existence of all joins.  After that every query method may
+assume a genuine graded lattice.
 
 Internally elements are re-sorted by rank into "positions", each rank
 one run of them; the build records where each run starts.  The order is
@@ -34,10 +37,10 @@ semimodular iff x v y has rank r(z) + 2 whenever x and y cover z
 whose join lies below y, so the scan keeps the first breaking pair per
 join, and the first kept below y is the witness for [0, y].
 
-The build walks the cover list a fixed number of times.  Whole-list
-tests in C (pair shape and type, range, self-loops, repeats) check it;
-only when one fails is it walked pair by pair, to name the first bad
-pair.  One Python walk then lists the upper covers of each element,
+The build walks the cover list a fixed number of times.  One whole-list
+test in C (pair shape and type, range, self-loops, repeats) checks it;
+only when it fails is it walked pair by pair, to name the first bad
+entry.  One Python walk then lists the upper covers of each element,
 sorted (which fixes the scan order, and so the witnesses), and counts
 its lower covers.  Kahn's topological sort over those lists is the
 cycle check and sets the longest-chain ranks as it goes.  Every cover
@@ -79,6 +82,8 @@ from .errors import (
     MultipleMinima,
     NotALattice,
     NotGraded,
+    refuse_over,
+    shown,
 )
 
 __all__ = [
@@ -358,51 +363,54 @@ def _refuse_dense(n, c):
             f"{c} covers on {n} elements, over the {most} a lattice can have")
 
 
-def _shown(value):
-    """A cover entry for a message: one too long to print exactly is
-    worded by the power of two its size reaches."""
-    try:
-        return str(value)
-    except ValueError:  # past the int-to-str digit limit
-        power = f"2^{abs(value).bit_length() - 1}"
-        return f"<=-{power}" if value < 0 else f">={power}"
+def _is_index(value):
+    """An int that is not a bool: True would otherwise read as 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_each_cover(n_elems, covers):
-    """Raise ValueError naming the first cover that is out of range, a
+    """Raise ValueError naming the first bad cover: first any entry
+    that is not a pair of non-bool ints, then the first out of range, a
     self-loop or a repeat."""
+    for i, pair in enumerate(covers):
+        if not isinstance(pair, (tuple, list)):
+            what = type(pair).__name__
+        elif len(pair) != 2:
+            what = f"{len(pair)}-entry {type(pair).__name__}"
+        else:
+            what = next((type(v).__name__ for v in pair if not _is_index(v)),
+                        None)
+        if what is not None:
+            raise ValueError(
+                f"covers[{i}] must be a pair of integers, not {what}")
     seen = set()
-    for pair in covers:
-        x, y = pair
+    for x, y in covers:
         if not (0 <= x < n_elems and 0 <= y < n_elems):
-            try:
-                shown = str(pair)
-            except ValueError:  # an entry past the int-to-str digit limit
-                shown = f"({_shown(x)}, {_shown(y)})"
-            raise ValueError(f"cover {shown} out of range")
+            raise ValueError(f"cover ({shown(x)}, {shown(y)}) out of range")
         if x == y:
-            raise ValueError(f"cover {pair} is a self-loop")
+            raise ValueError(f"cover ({x}, {y}) is a self-loop")
         if (x, y) in seen:
-            raise ValueError(f"duplicate cover {pair}")
+            raise ValueError(f"duplicate cover ({x}, {y})")
         seen.add((x, y))
 
 
 def _cover_ends(n_elems, covers):
     """(xs, ys): the lower and the upper end of each cover, checked.
 
-    Whole-list tests come first (tuple pairs of ints in range, no
-    self-loop, no repeat); only when one fails are the pairs checked one
-    by one, which names the first bad pair and lets through what the
-    tests are too strict for, such as list pairs or bools."""
-    covers = list(covers)
-    if set(map(type, covers)) <= {tuple} and set(map(len, covers)) <= {2}:
+    One whole-list test checks the contract (tuple or list pairs of
+    ints in range, no self-loop, no repeat); only when it fails are the
+    pairs checked one by one, which names the first bad entry and lets
+    through int and tuple subclasses, which the test is too strict for."""
+    types = set(map(type, covers))
+    if types <= {tuple, list} and set(map(len, covers)) <= {2}:
         flat = list(chain.from_iterable(covers))
         xs, ys = flat[::2], flat[1::2]
+        pairs = covers if types == {tuple} else zip(xs, ys)  # lists don't hash
         if (set(map(type, flat)) <= {int}
                 and min(flat, default=0) >= 0
                 and max(flat, default=0) < n_elems
                 and not any(map(eq, xs, ys))
-                and len(set(covers)) == len(covers)):
+                and len(set(pairs)) == len(xs)):
             return xs, ys
     _check_each_cover(n_elems, covers)
     return [x for x, _y in covers], [y for _x, y in covers]
@@ -411,17 +419,22 @@ def _cover_ends(n_elems, covers):
 def build_lattice(n_elems, covers, labels=None):
     """Validate a cover relation and build the lattice it generates.
 
-    Raises Cyclic, MultipleMinima/MultipleMaxima (both a kind of
-    NotALattice), NotGraded, or NotALattice when validation fails.  A
-    cover list longer than any lattice on n_elems elements can have is
-    refused with NotALattice before the order is sorted or closed.
+    Each cover is a pair (tuple or list) of ints, not bools, in
+    range(n_elems), with no self-loop and no repeat; ValueError names
+    the first entry that breaks this.  A cover list longer than any
+    lattice on n_elems elements can have is refused with NotALattice by
+    its length, before any pair is read.  Then Cyclic,
+    MultipleMinima/MultipleMaxima (both a kind of NotALattice),
+    NotGraded or NotALattice is raised when validation fails.
     """
     if n_elems < 1:
         raise ValueError("a lattice needs at least one element")
     if labels is not None and len(labels) != n_elems:
         raise ValueError("labels length must equal n_elems")
+    if not isinstance(covers, (list, tuple)):
+        covers = list(covers)
+    _refuse_dense(n_elems, len(covers))
     xs, ys = _cover_ends(n_elems, covers)
-    _refuse_dense(n_elems, len(xs))
 
     parents = [[] for _ in range(n_elems)]  # upper covers, by index
     lower = [0] * n_elems  # number of lower covers
@@ -512,55 +525,28 @@ def lattice_to_json(lat):
     return out
 
 
-def _is_index(value):
-    """An int that is not a bool: JSON true would otherwise read as 1."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _json_size(data):
-    """The checked "n" of a lattice-JSON object."""
+def lattice_from_json(data, cap_elements=None):
+    """Build from the plain-dict form; "n" must be an integer, "covers"
+    a list and "labels", when present, a list with one entry per
+    element, or ValueError names the field.  The cover entries are
+    checked by build_lattice, as for every source.  With cap_elements,
+    an "n" over it is refused with TooLarge before the covers are read."""
     if not isinstance(data, dict) or "n" not in data or "covers" not in data:
         raise ValueError('lattice JSON needs "n" and "covers"')
-    n = data["n"]
+    n, covers = data["n"], data["covers"]
     if not _is_index(n):
         raise ValueError(
             f'lattice JSON "n" must be an integer, not {type(n).__name__}')
-    return n
-
-
-def _check_each_json_pair(covers):
-    """Raise ValueError naming the first entry of a lattice-JSON
-    "covers" list that is not a pair of integers."""
-    for i, pair in enumerate(covers):
-        if not (isinstance(pair, list) and len(pair) == 2
-                and all(map(_is_index, pair))):
-            raise ValueError(
-                f'lattice JSON "covers"[{i}] must be a pair of integers')
-
-
-def lattice_from_json(data):
-    """Build from the plain-dict form; "n" and every cover entry must
-    be integers, "covers" a list of pairs and "labels", when present, a
-    list with one entry per element, or ValueError names the field.  A
-    "covers" list longer than a lattice on n elements can have is
-    refused with NotALattice before its entries are read."""
-    n = _json_size(data)
-    covers = data["covers"]
+    if cap_elements is not None:
+        refuse_over("lattice JSON", [n], cap_elements)
     if not isinstance(covers, list):
         raise ValueError('lattice JSON "covers" must be a list of pairs')
-    if n >= 1:  # refused by count before each pair is checked
-        _refuse_dense(n, len(covers))
-    # whole-list tests; the pairs are walked only to name a bad one
-    if not (set(map(type, covers)) <= {list}
-            and set(map(len, covers)) <= {2}
-            and set(map(type, chain.from_iterable(covers))) <= {int}):
-        _check_each_json_pair(covers)
     labels = data.get("labels")
     if "labels" in data and not (isinstance(labels, list)
                                  and len(labels) == n):
         raise ValueError(
             'lattice JSON "labels" must be a list with one entry per element')
-    return build_lattice(n, list(map(tuple, covers)), labels)
+    return build_lattice(n, covers, labels)
 
 
 @contextlib.contextmanager

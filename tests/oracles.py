@@ -114,33 +114,31 @@ def all_pairs_verdict(n, rel, rank):
                  for pair in result)
 
 
-def check_json_covers(covers):
-    """Pair-by-pair check of a lattice-JSON "covers" list: the reference
-    for lattice_from_json's whole-list tests.  Raises the ValueError
-    that names the first entry that is not a pair of integers."""
-    for i, pair in enumerate(covers):
-        if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(v, int) and not isinstance(v, bool)
-                        for v in pair)):
-            raise ValueError(
-                f'lattice JSON "covers"[{i}] must be a pair of integers')
-
-
 def check_covers(n_elems, covers):
-    """Pair-by-pair check of a cover list: the reference for
-    build_lattice's whole-list tests.  Raises the error of the first
-    pair that does not unpack, is out of range, a self-loop or a
-    repeat; bools and floats in range pass."""
-    seen = set()
-    for pair in covers:
-        x, y = pair
-        if not (0 <= x < n_elems and 0 <= y < n_elems):
-            raise ValueError(f"cover {pair} out of range")
+    """Pair-by-pair check of a cover list under build_lattice's contract,
+    from any source: the reference for its whole-list test.  Raises the
+    ValueError that names the first entry that is not a tuple or list
+    pair of non-bool ints, or else the first pair out of range, a
+    self-loop or a repeat of an earlier pair."""
+    for i, pair in enumerate(covers):
+        if not isinstance(pair, (tuple, list)):
+            what = type(pair).__name__
+        elif len(pair) != 2:
+            what = f"{len(pair)}-entry {type(pair).__name__}"
+        else:
+            bad = [v for v in pair
+                   if not isinstance(v, int) or isinstance(v, bool)]
+            what = type(bad[0]).__name__ if bad else None
+        if what is not None:
+            raise ValueError(
+                f"covers[{i}] must be a pair of integers, not {what}")
+    for i, (x, y) in enumerate(covers):
+        if x not in range(n_elems) or y not in range(n_elems):
+            raise ValueError(f"cover ({x}, {y}) out of range")
         if x == y:
-            raise ValueError(f"cover {pair} is a self-loop")
-        if (x, y) in seen:
-            raise ValueError(f"duplicate cover {pair}")
-        seen.add((x, y))
+            raise ValueError(f"cover ({x}, {y}) is a self-loop")
+        if [x, y] in [list(p) for p in covers[:i]]:
+            raise ValueError(f"duplicate cover ({x}, {y})")
 
 
 def naive_mobius_matrix(n, rel):

@@ -285,6 +285,23 @@ def test_saddle_check_fails_on_a_ladder_read_one_diagonal_early(monkeypatch):
     assert detail.startswith("(m,r)=(1,2): errors not decreasing"), detail
 
 
+def test_saddle_check_fails_on_a_final_error_over_five_percent(monkeypatch):
+    # every (1, 1) error 0.06 higher still decreases along n, so only
+    # the ceiling on the last one fires
+    final = float(compare_exact(1, 1, 200).rel_err + 0.06)
+    honest = asym._compare
+
+    def shifted(data, exact):
+        out = honest(data, exact)
+        if (data.m, data.r) == (1, 1):
+            out = out._replace(rel_err=out.rel_err + 0.06)
+        return out
+
+    monkeypatch.setattr(asym, "_compare", shifted)
+    assert verify.check_saddle(fast=True) == (
+        False, f"final error {final} >= 0.05")
+
+
 def test_digits_parameter_controls_precision():
     lo = solve_delta(1, 1, 50, digits=20)
     hi = solve_delta(1, 1, 50, digits=60)

@@ -188,3 +188,13 @@ def test_sign_check_fires_on_a_zeroed_second_whitney_number(monkeypatch):
     detail = "boolean:2: even cutoff 2 gives -1 < 0"
     assert verify.check_brun_zoo(fast=True) == (False, detail)
     assert verify.check_alternating_sequences(fast=True) == (False, detail)
+
+
+def test_sign_check_fires_at_an_odd_cutoff(monkeypatch):
+    # whitney_first (1, 0, -1) keeps the total at zero but leaves the
+    # partial sum 1 at cutoff 1, positive at an odd cutoff
+    monkeypatch.setattr(poset.FiniteLattice, "whitney_first",
+                        lambda lat: (1, 0, -1))
+    with pytest.raises(BrunViolation) as info:
+        verify_brun(generators.parse_named("boolean:2"))
+    assert str(info.value) == "odd cutoff 1 gives 1 > 0"

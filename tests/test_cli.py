@@ -126,11 +126,18 @@ def test_lattice_check_wrong_shape_json(capsys, tmp_path):
 def test_lattice_json_field_types_refused(capsys, tmp_path, blob, field):
     # Floats, booleans and strings are not read as integers; "labels"
     # is a list with one entry per element, never a string or a number.
+    # A cover entry is checked by build_lattice, under the contract of
+    # every source, and named by its index in the list.
     path = tmp_path / "typed.json"
     path.write_text(json.dumps(blob), encoding="utf-8")
     code, out, err = run_cli(capsys, "lattice-check", str(path))
     assert code == 2 and out == ""
-    assert err.startswith(f"error: lattice JSON {field} must be")
+    if field.startswith('"covers"['):
+        entry = field.replace('"', "")
+        assert err.startswith(f"error: {entry} must be a pair of integers, "
+                              "not ")
+    else:
+        assert err.startswith(f"error: lattice JSON {field} must be")
 
 
 def test_lattice_check_cover_entry_past_digit_limit(capsys, tmp_path):

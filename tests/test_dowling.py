@@ -594,6 +594,18 @@ def _change_entry(monkeypatch, kind, m, r, n, k, delta):
     monkeypatch.setattr(dowling, name, mutated)
 
 
+@pytest.mark.parametrize("kind, detail", [
+    ("first", "|w_1(3,1)| != |s(4,2)|"),
+    ("second", "W_1(3,1) != S(4,2)"),
+])
+def test_verify_check_catches_a_wrong_stirling_entry(monkeypatch, kind,
+                                                     detail):
+    # entry (3, 1) of the m = 1 row stream off by one: -5 against the
+    # six atoms of the partition lattice on 4 points, or S(4, 2) + 1
+    _change_entry(monkeypatch, kind, 1, 1, 3, 1, 1)
+    assert verify.check_classical_oracles(fast=True) == (False, detail)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 3), st.sampled_from(["first", "second"]),
        st.integers(0, 3), st.integers(0, 7), st.integers(0, 7),

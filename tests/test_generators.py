@@ -184,6 +184,19 @@ def test_non_simple_uniform_refused_before_the_flats_sweep(monkeypatch, name, n)
         generators.parse_named(name)
 
 
+def test_uniform_name_lifts_the_flats_sweep_cap_to_its_own(monkeypatch):
+    # U_{2,12} has 14 flats: over a sweep cap of 10, but a uniform name
+    # is counted against --cap-elements first and sweeps under that cap
+    monkeypatch.setattr(matroid.Matroid, "cap_flats", 10)
+    with pytest.raises(TooLarge, match=r"^the lattice of flats of <Matroid "
+                                       r"uniform n=12> has at least 13 "
+                                       r"elements, over the cap 10$"):
+        matroid.flats_lattice(matroid.Matroid.uniform(2, 12))
+    assert len(generators.parse_named("uniform:2:12", 14)) == 14
+    with pytest.raises(TooLarge, match=r"^uniform:2:12 has at least 14 "):
+        generators.parse_named("uniform:2:12", 13)
+
+
 def test_simple_small_uniforms_still_build():
     assert len(generators.parse_named("uniform:0:0")) == 1
     assert len(generators.parse_named("uniform:1:1")) == 2

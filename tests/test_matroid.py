@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomsieve import matroid, verify
+from geomsieve import errors, matroid, verify
 from geomsieve.errors import MatroidError, NotSimple, TooLarge
 from geomsieve.matroid import (
     Matroid,
@@ -150,6 +150,27 @@ def test_flats_lattice_covers_match_pair_scan(name):
     assert lat.covers == tuple(oracles.naive_flat_covers(mat, flats))
     assert lat.labels == ["{" + ",".join(map(str, sorted(f))) + "}"
                           for f in flats]
+
+
+def test_flats_sweep_refused_once_over_the_element_cap():
+    # U_{10,40} has 373,585,605 flats; the sweep stops at the first flat
+    # of rank 3 whose covers take the count over the cap, having made at
+    # most 40 rank calls (one per ground element) per flat found
+    calls = []
+
+    def rank(mask):
+        calls.append(mask)
+        return min(mask.bit_count(), 10)
+
+    cap = errors.ELEMENT_CAP
+    with pytest.raises(TooLarge, match=(
+            rf"^the lattice of flats of <Matroid uniform n=40> has at least "
+            rf"\d+ elements, over the cap {cap}$")):
+        flats_lattice(Matroid(40, rank, "uniform"))
+    assert len(calls) < 40 * cap
+    # every zoo matroid stays under the cap
+    for name, mat in verify.zoo_matroids():
+        assert len(flats_lattice(mat)) == len(mat.flats()) <= cap, name
 
 
 def test_flats_are_sorted_and_closed(u24):

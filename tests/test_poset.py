@@ -74,9 +74,11 @@ def test_dense_cover_list_refused_by_count():
         build_lattice(4, pairs[:9])
     with pytest.raises(NotALattice, match="^10 covers on 4 elements"):
         build_lattice(4, pairs[:10])
-    # lattice JSON is refused by the length of "covers", unread
+    # on every path the list is refused by its length, unread
     with pytest.raises(NotALattice, match="^10 covers on 4 elements"):
         lattice_from_json({"n": 4, "covers": [None] * 10})
+    with pytest.raises(NotALattice, match="^10 covers on 4 elements"):
+        build_lattice(4, [None] * 10)
 
 
 def test_pentagon_is_not_graded():
@@ -104,6 +106,17 @@ def test_cover_input_validation():
         build_lattice(2, [(0, 1), (0, 1)])
     with pytest.raises(ValueError, match="labels"):
         build_lattice(2, [(0, 1)], labels=["x"])
+    # bools, floats and pairs of the wrong length are refused on both
+    # paths, by the index of the entry, before any range check
+    for covers, what in (([(0, 1), (0, True)], "bool"),
+                         ([[0, 1], [1.0, 5]], "float"),
+                         ([(0, 9), (0, 1, 2)], "3-entry tuple"),
+                         ([(0, 9), 1], "int")):
+        message = rf"^covers\[1\] must be a pair of integers, not {what}$"
+        with pytest.raises(ValueError, match=message):
+            build_lattice(3, covers)
+        with pytest.raises(ValueError, match=message):
+            lattice_from_json({"n": 3, "covers": covers})
     with pytest.raises(ValueError):
         build_lattice(0, [])
 
@@ -147,26 +160,18 @@ def malformed_covers(draw):
     return n, [list(p) if draw(st.booleans()) else p for p in pairs]
 
 
-def _json_reference(n, covers):
-    oracles.check_json_covers(covers)
-    oracles.check_covers(n, [tuple(p) for p in covers])
-
-
 @settings(max_examples=300, deadline=None)
 @given(malformed_covers())
 def test_cover_refusals_match_pair_by_pair_reference(case):
-    # The whole-list tests refuse what the pair-by-pair reference
-    # refuses, with the same error for the same first bad pair.
+    # One contract for every source: build_lattice and lattice JSON
+    # refuse what the pair-by-pair reference refuses (bools, floats and
+    # pairs of the wrong length among it), with the same error for the
+    # same first bad entry.
     n, covers = case
-    expected = _raised(oracles.check_covers, n, covers)
-    got = _raised(build_lattice, n, covers)
-    if expected is not None:
-        assert got == expected
-    else:  # bools and floats in range pass the check, as they always did
-        assert got is None or got[0] is not ValueError
     for entries in (covers, [list(p) for p in covers]):
-        expected = _raised(_json_reference, n, entries)
-        assert expected is not None
+        expected = _raised(oracles.check_covers, n, entries)
+        assert expected is not None and expected[0] is ValueError
+        assert _raised(build_lattice, n, entries) == expected
         assert _raised(lattice_from_json,
                        {"n": n, "covers": entries}) == expected
 

@@ -405,6 +405,22 @@ def test_verify_check_catches_a_wrong_sifted_count(monkeypatch):
     assert ok is False
     assert detail == "n=3, m=1, k=3: count 2 != closed form 1"
 
+def test_verify_check_catches_a_wrong_spot_value(monkeypatch):
+    # D_{2,3}(2) and the sifted count of its instance (n, m, k) =
+    # (3, 2, 1) both one too high: the instances still agree, and only
+    # the spot value of the full check fires
+    [target] = [inst for n, m, k, inst in verify._dowling_instances(False)
+                if (n, m, k) == (3, 2, 1)]  # the cached call the check makes
+    honest_count = sieve.sifted_count_exact
+    honest_closed = dowling.dowling_sieve_closed_form
+    monkeypatch.setattr(sieve, "sifted_count_exact", lambda inst: (
+        honest_count(inst) + (inst is target)))
+    monkeypatch.setattr(dowling, "dowling_sieve_closed_form", lambda *a: (
+        honest_closed(*a) + (a == (2, 3, 1))))
+    assert verify.check_sieve_closed_form() == (
+        False, "spot value D_{2,3}(2) = 19 != 18")
+
+
 def test_brun_bounds_cutoff_zero_upper_is_A():
     inst = b3_instance(T=[1, 2])
     lower, upper = brun_bounds(inst, 0)
