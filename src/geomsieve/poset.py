@@ -77,6 +77,7 @@ from math import isqrt
 from operator import eq, mul, sub
 
 from .errors import (
+    ELEMENT_CAP,
     Cyclic,
     MultipleMaxima,
     MultipleMinima,
@@ -525,20 +526,19 @@ def lattice_to_json(lat):
     return out
 
 
-def lattice_from_json(data, cap_elements=None):
+def lattice_from_json(data, cap_elements=ELEMENT_CAP):
     """Build from the plain-dict form; "n" must be an integer, "covers"
     a list and "labels", when present, a list with one entry per
     element, or ValueError names the field.  The cover entries are
-    checked by build_lattice, as for every source.  With cap_elements,
-    an "n" over it is refused with TooLarge before the covers are read."""
+    checked by build_lattice, as for every source.  An "n" over
+    cap_elements is refused with TooLarge before the covers are read."""
     if not isinstance(data, dict) or "n" not in data or "covers" not in data:
         raise ValueError('lattice JSON needs "n" and "covers"')
     n, covers = data["n"], data["covers"]
     if not _is_index(n):
         raise ValueError(
             f'lattice JSON "n" must be an integer, not {type(n).__name__}')
-    if cap_elements is not None:
-        refuse_over("lattice JSON", [n], cap_elements)
+    refuse_over("lattice JSON", [n], cap_elements)
     if not isinstance(covers, list):
         raise ValueError('lattice JSON "covers" must be a list of pairs')
     labels = data.get("labels")

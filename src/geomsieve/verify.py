@@ -12,6 +12,7 @@ import random
 import time
 from collections import namedtuple
 from functools import lru_cache
+from itertools import chain
 
 from . import asym, dowling, generators, matroid, sieve
 from .brun import (
@@ -41,12 +42,9 @@ def zoo_lattices(fast=False):
         out.append((f"boolean:{n}", generators.boolean_lattice(n)))
     for n in range(1, 6 if fast else 8):
         out.append((f"partition:{n}", generators.partition_lattice(n)))
-    pairs = [(n, m) for n in range(1, 4 if fast else 5)
-             for m in range(1, 3 if fast else 4)]
-    if not fast:
-        pairs.append((5, 2))
-    for n, m in pairs:
-        out.append((f"dowling:{n}:{m}", dowling.build_Qn(n, m)))
+    for n, m in _dowling_pairs(fast):
+        if n >= 1:
+            out.append((f"dowling:{n}:{m}", dowling.build_Qn(n, m)))
     for name, mat in zoo_matroids(fast):
         out.append((f"flats:{name}", matroid.flats_lattice(mat)))
     return tuple(out)
@@ -66,14 +64,18 @@ def zoo_matroids(fast=False):
     return tuple(out)
 
 
+def _dowling_pairs(fast):
+    """The (n, m) of the Dowling lattices Q_n(Z_m) behind the sieve
+    instances; the zoo takes those with n >= 1."""
+    pairs = [(n, m) for n in range(4 if fast else 5)
+             for m in range(1, 3 if fast else 4)]
+    return pairs if fast else pairs + [(5, 2)]
+
+
 @lru_cache(maxsize=None)
 def _dowling_instances(fast=False):
-    pairs = [(n, m) for n in range(0, 4 if fast else 5)
-             for m in range(1, 3 if fast else 4)]
-    if not fast:
-        pairs.append((5, 2))
     out = []
-    for n, m in pairs:
+    for n, m in _dowling_pairs(fast):
         for k in range(n + 1):
             out.append((n, m, k, dowling.dowling_sieve_instance(n, m, k)))
     return tuple(out)
@@ -81,17 +83,26 @@ def _dowling_instances(fast=False):
 
 # -- the checks --------------------------------------------------------------
 
+def _zoo_brun(fast):
+    """(None, reports) with one (name, lattice, BrunReport) per zoo
+    lattice, or (detail, None) naming the first lattice verify_brun
+    refuses."""
+    reports = []
+    for name, lat in zoo_lattices(fast):
+        try:
+            reports.append((name, lat, verify_brun(lat)))
+        except GeomsieveError as exc:
+            return f"{name}: {exc}", None
+    return None, reports
+
+
 def check_brun_zoo(fast=False):
     """Rank-truncated Mobius sums alternate in sign on every zoo
     lattice, with exact integers."""
-    count = 0
-    for name, lat in zoo_lattices(fast):
-        try:
-            verify_brun(lat)
-        except GeomsieveError as exc:
-            return False, f"{name}: {exc}"
-        count += 1
-    return True, f"{count} lattices verified"
+    refusal, reports = _zoo_brun(fast)
+    if refusal:
+        return False, refusal
+    return True, f"{len(reports)} lattices verified"
 
 
 def check_alternating_sequences(fast=False):
@@ -112,11 +123,10 @@ def check_alternating_sequences(fast=False):
             alternating_partial_sums_check(seq)
         except GeomsieveError as exc:
             return False, f"trial {i}: {exc}"
-    for name, lat in zoo_lattices(fast):
-        try:
-            report = verify_brun(lat)
-        except GeomsieveError as exc:
-            return False, f"{name}: {exc}"
+    refusal, reports = _zoo_brun(fast)
+    if refusal:
+        return False, refusal
+    for name, lat, report in reports:
         if lat.top_rank == 0:
             # one-element lattice: the alternating sum is 1, so the
             # sequence-level hypotheses do not apply
@@ -151,28 +161,19 @@ def check_matroid_lattice_consistency(fast=False):
 def check_log_concavity(fast=False):
     """|w| sequences from the zoo and from first-kind triangle rows are
     log-concave and unimodal."""
-    rows = 0
-    for name, lat in zoo_lattices(fast):
-        absw = [abs(w) for w in lat.whitney_first()]
-        ok, _ = is_log_concave(absw)
-        if not ok:
-            return False, f"{name}: log-concavity fails"
-        ok, _ = is_unimodal(absw)
-        if not ok:
-            return False, f"{name}: unimodality fails"
-        rows += 1
     nmax = 20 if fast else 40
-    for m in range(1, 6):
-        for n, row in enumerate(dowling.whitney_first_rows(m, nmax)):
-            absrow = [abs(v) for v in row]
-            ok, _ = is_log_concave(absrow)
-            if not ok:
-                return False, f"triangle m={m} row {n}: log-concavity fails"
-            ok, _ = is_unimodal(absrow)
-            if not ok:
-                return False, f"triangle m={m} row {n}: unimodality fails"
-            rows += 1
-    return True, f"{rows} sequences checked"
+    rows = chain(
+        ((name, lat.whitney_first()) for name, lat in zoo_lattices(fast)),
+        ((f"triangle m={m} row {n}", row) for m in range(1, 6)
+         for n, row in enumerate(dowling.whitney_first_rows(m, nmax))))
+    count = 0
+    for count, (label, row) in enumerate(rows, 1):
+        absrow = [abs(v) for v in row]
+        if not is_log_concave(absrow)[0]:
+            return False, f"{label}: log-concavity fails"
+        if not is_unimodal(absrow)[0]:
+            return False, f"{label}: unimodality fails"
+    return True, f"{count} sequences checked"
 
 
 def check_orthogonality(fast=False):
@@ -260,31 +261,14 @@ def check_saddle(fast=False):
     return True, "; ".join(details)
 
 
-def _stirling1_signed(nmax):
+def _stirling(nmax, coeff):
+    """Rows 0..nmax of T(n, k) = T(n-1, k-1) + coeff(n, k) T(n-1, k):
+    coeff -(n-1) gives the signed first kind, k the second kind."""
     rows = [[1]]
     for n in range(1, nmax + 1):
-        prev = rows[-1]
-        row = []
-        for k in range(n + 1):
-            v = prev[k - 1] if k > 0 else 0
-            if k < n:
-                v -= (n - 1) * prev[k]
-            row.append(v)
-        rows.append(row)
-    return rows
-
-
-def _stirling2(nmax):
-    rows = [[1]]
-    for n in range(1, nmax + 1):
-        prev = rows[-1]
-        row = []
-        for k in range(n + 1):
-            v = prev[k - 1] if k > 0 else 0
-            if k < n:
-                v += k * prev[k]
-            row.append(v)
-        rows.append(row)
+        prev = [0] + rows[-1] + [0]
+        rows.append([prev[k] + coeff(n, k) * prev[k + 1]
+                     for k in range(n + 1)])
     return rows
 
 
@@ -293,8 +277,8 @@ def check_classical_oracles(fast=False):
     |w_1(n,k)| = |s(n+1,k+1)|, W_1(n,k) = S(n+1,k+1)."""
     nmax = 15 if fast else 30
     bell = list(generators._bell_numbers(nmax + 1))
-    s1 = _stirling1_signed(nmax + 1)
-    s2 = _stirling2(nmax + 1)
+    s1 = _stirling(nmax + 1, lambda n, k: 1 - n)
+    s2 = _stirling(nmax + 1, lambda n, k: k)
     streams = zip(dowling._dowling_numbers(1, 1, nmax),
                   dowling.whitney_first_rows(1, nmax),
                   dowling.whitney_second_rows(1, 1, nmax))

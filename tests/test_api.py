@@ -137,6 +137,23 @@ def test_scopes_partition_the_checks():
     assert sorted(named) == scopes.SCOPES["all"] == sorted(verify.CHECKS)
 
 
+def test_run_checks_refuses_an_unknown_scope():
+    with pytest.raises(ValueError) as info:
+        verify.run_checks("nope")
+    assert str(info.value) == (
+        "unknown scope 'nope'; choose from ['all', 'asym', 'dowling', "
+        "'lattice', 'matroid', 'sequences', 'sieve']")
+
+
+def test_run_checks_reports_a_refusal_inside_a_check(monkeypatch):
+    # with no Newton step allowed the saddle solver gives up, and the
+    # check fails with the refusal in place of a detail
+    monkeypatch.setattr(asym, "_NEWTON_STEPS", 0)
+    [result] = verify.run_checks("asym", fast=True)
+    assert result[:3] == ("saddle-asymptotics", False,
+                          "error: Newton budget exhausted")
+
+
 def test_record_types_are_frozen_values():
     # What callers rely on in the result records: the dataclass-style
     # repr, equality and hashing by value, no assignment, pickling.

@@ -198,3 +198,21 @@ def test_sign_check_fires_at_an_odd_cutoff(monkeypatch):
     with pytest.raises(BrunViolation) as info:
         verify_brun(generators.parse_named("boolean:2"))
     assert str(info.value) == "odd cutoff 1 gives 1 > 0"
+
+
+def _refuse_every_sequence(seq):
+    raise BrunViolation("odd cutoff 1 gives 1 > 0")
+
+
+@pytest.mark.parametrize("planted, detail", [
+    # the sequence checker refuses the first random trial
+    (_refuse_every_sequence, "trial 0: odd cutoff 1 gives 1 > 0"),
+    # it passes every trial but adds a partial sum to each answer, so
+    # the first zoo lattice of rank >= 1 disagrees with verify_brun
+    (lambda seq: alternating_partial_sums_check(seq) + (0,),
+     "boolean:1: sequence and lattice verdicts differ"),
+], ids=["trial", "verdict"])
+def test_alternating_sums_check_fires_on_a_wrong_sequence_checker(
+        monkeypatch, planted, detail):
+    monkeypatch.setattr(verify, "alternating_partial_sums_check", planted)
+    assert verify.check_alternating_sequences(fast=True) == (False, detail)

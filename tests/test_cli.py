@@ -174,6 +174,11 @@ def test_lattice_check_unknown_generator(capsys):
     assert "error:" in err
 
 
+def test_lattice_check_unknown_graph(capsys):
+    code, out, err = run_cli(capsys, "lattice-check", "graphic:k6")
+    assert (code, out, err) == (2, "", "error: unknown graph 'k6'\n")
+
+
 def test_lattice_check_not_file_not_generator(capsys):
     code, _out, err = run_cli(capsys, "lattice-check", "no-such-thing")
     assert code == 2
@@ -184,6 +189,23 @@ def test_lattice_check_cap(capsys):
     code, _out, err = run_cli(capsys, "lattice-check", "boolean:7",
                               "--cap-elements", "10")
     assert code == 2
+
+
+def test_sieve_run_on_a_non_geometric_interval_fails_the_check(capsys,
+                                                             tmp_path):
+    # the atomistic non-semimodular lattice of the sieve tests, with tau
+    # the top: the main term needs [bottom, tau] geometric
+    covers = [[0, 1], [0, 2], [0, 3], [1, 4], [2, 4], [2, 5], [3, 5],
+              [4, 6], [5, 6]]
+    path = tmp_path / "not-semimodular.json"
+    path.write_text(json.dumps({"lattice": {"n": 7, "covers": covers},
+                                "A": "all", "T": [1, 2, 3],
+                                "f": ["1"] * 4, "X": "1"}),
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "sieve-run", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("check failed: [bottom, tau] fails NotSemimodular "
+                   "at (1, 3)\n")
 
 
 def test_sieve_run_exact_density(capsys, tmp_path):

@@ -544,6 +544,22 @@ def test_verify_check_catches_a_zero_inside_a_first_kind_row(monkeypatch):
     assert detail == "triangle m=2 row 5: log-concavity fails"
 
 
+def test_verify_check_catches_a_dip_at_the_start_of_a_first_kind_row(
+        monkeypatch):
+    # w_2(5, 1) and w_2(5, 2) set to 0: |row 5| of w_2 starts 1, 0, 0,
+    # which keeps every a_k^2 >= a_{k-1} a_{k+1}, so only unimodality
+    # fails
+    rows = dowling.whitney_first_rows
+
+    def mutated(m, n_max):
+        for n, row in enumerate(rows(m, n_max)):
+            yield row[:1] + (0, 0) + row[3:] if (m, n) == (2, 5) else row
+
+    monkeypatch.setattr(dowling, "whitney_first_rows", mutated)
+    assert verify.check_log_concavity(fast=True) == (
+        False, "triangle m=2 row 5: unimodality fails")
+
+
 def test_verify_check_catches_a_wrong_second_kind_coefficient(monkeypatch):
     # W_2(3, 1) off by one, so row 3 of W_2 against column 0 of w_2
     # sums to -1, not 0

@@ -104,6 +104,51 @@ def test_lattice_json_cap_boundary(monkeypatch):
         generators.load_lattice(chain_json(6), 5)
 
 
+def test_lattice_from_json_applies_the_element_cap_by_default(monkeypatch):
+    cap = errors.ELEMENT_CAP
+    assert len(poset.lattice_from_json(chain_json(cap))) == cap
+    refuse_to_build(monkeypatch)
+    with pytest.raises(TooLarge, match=(
+            rf"^lattice JSON has at least {cap + 1} elements, "
+            rf"over the cap {cap}$")):
+        poset.lattice_from_json(chain_json(cap + 1))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: list(dowling.whitney_first_rows(0, 3)),
+                 ValueError, "need m >= 1", id="first-rows-m0"),
+    pytest.param(lambda: list(dowling.whitney_second_rows(0, 1, 3)),
+                 ValueError, "need m >= 1 and r >= 0", id="second-rows-m0"),
+    pytest.param(lambda: list(dowling.whitney_second_rows(1, -1, 3)),
+                 ValueError, "need m >= 1 and r >= 0", id="second-rows-r-1"),
+    pytest.param(lambda: dowling.canonical_tau_index(2, 2, 3),
+                 ValueError, "need 0 <= k <= n", id="tau-k-over-n"),
+    pytest.param(lambda: dowling.dowling_sieve_instance(2, 2, 3),
+                 ValueError, "need 0 <= k <= n", id="instance-k-over-n"),
+    pytest.param(lambda: generators.boolean_lattice(-1),
+                 ValueError, "n must be >= 0", id="boolean-1"),
+    pytest.param(lambda: generators.partition_lattice(0),
+                 ValueError, "n must be >= 1", id="partition0"),
+    pytest.param(lambda: generators.chain_lattice(-1),
+                 ValueError, "r must be >= 0", id="chain-1"),
+    pytest.param(lambda: generators.divisor_lattice(0),
+                 ValueError, "n must be >= 1", id="divisor0"),
+    pytest.param(lambda: matroid.Matroid(-1, len, "negative"),
+                 errors.MatroidError, "ground set size must be >= 0",
+                 id="matroid-1"),
+    pytest.param(lambda: matroid.Matroid.graphic(3, [(0, 3)]),
+                 errors.MatroidError, "edge (0, 3) out of range",
+                 id="graphic-edge-out-of-range"),
+    pytest.param(lambda: matroid.Matroid.uniform(2, 4).rank_of([5]),
+                 errors.MatroidError, "element 5 outside ground set 0..3",
+                 id="rank-of-outside"),
+])
+def test_arguments_outside_the_domain_refused(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
 def test_every_cap_refuses_just_above_it_before_any_work(
         monkeypatch, row_steps, triangle_steps):
     # one request per cap of the errors table, each one over its cap

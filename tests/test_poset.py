@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,23 @@ def test_dense_cover_list_refused_by_count():
         lattice_from_json({"n": 4, "covers": [None] * 10})
     with pytest.raises(NotALattice, match="^10 covers on 4 elements"):
         build_lattice(4, [None] * 10)
+
+
+def test_covers_from_a_generator_or_as_int_subclass_pairs():
+    # a generator is listed once; namedtuple pairs and int-subclass ends
+    # fail the whole-list test, and each pair is then read on its own
+    Pair = namedtuple("Pair", "lower upper")
+
+    class Index(int):
+        pass
+
+    diamond = [(0, 1), (0, 2), (1, 3), (2, 3)]
+    for covers in ((pair for pair in diamond),
+                   [Pair(x, y) for x, y in diamond],
+                   [(Index(x), Index(y)) for x, y in diamond]):
+        lat = build_lattice(4, covers)
+        assert lat.covers == tuple(diamond)
+        assert lat.whitney_first() == (1, -2, 1)
 
 
 def test_pentagon_is_not_graded():

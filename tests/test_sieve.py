@@ -392,6 +392,23 @@ def test_brun_check_fails_on_a_raised_lower_bound(monkeypatch):
                       f"{exact + 1} !<= {exact} !<= {exact}")
 
 
+def test_brun_check_fails_on_a_raised_last_upper_bound(monkeypatch):
+    # an upper bound raised by one at the last entry of a profile keeps
+    # the sandwich, so only the collapse past rank(tau) fails
+    n, m, k, inst = verify._dowling_instances()[0]
+    last = len(brun_profile(inst)) - 1
+    honest = sieve.brun_profile
+
+    def raised(inst):
+        *head, (lower, upper) = honest(inst)
+        return (*head, (lower, upper + 1))
+
+    monkeypatch.setattr(sieve, "brun_profile", raised)
+    assert verify.check_brun_bounds() == (
+        False, f"n={n}, m={m}, k={k}, cutoff {last}: "
+               "bounds not tight past rank(tau)")
+
+
 def test_verify_check_catches_a_wrong_sifted_count(monkeypatch):
     # the sifted count one too high once rank(tau) >= 3; the first such
     # instance is Q_3(Z_1) with k = 3, where D_{1,4}(0) = 1
