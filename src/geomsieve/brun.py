@@ -100,8 +100,13 @@ def alternating_partial_sums_check(seq):
 
     All three hypotheses are verified (HypothesisViolated otherwise).
     Returns the tuple of partial sums after asserting that every even
-    cutoff gives t_k >= 0 and every odd cutoff t_k <= 0; a failure
-    there would contradict a proven fact, so it raises BrunViolation.
+    cutoff gives t_k >= 0 and every odd cutoff t_k <= 0.  That sign
+    check cannot fire on input that passes the three hypotheses: a
+    non-negative unimodal sequence with zero alternating sum always has
+    alternating partial sums (up to the peak because the terms rise,
+    past it because the terms fall and t_last = 0).  Its BrunViolation
+    raise is shown to fire through verify_brun, which checks lattice
+    sums under no such hypotheses.
     """
     seq = _nonnegative(seq, lambda i: HypothesisViolated("non-negative", i))
     if _peak(seq) is None:

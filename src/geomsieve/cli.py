@@ -20,6 +20,14 @@ A run is one short process, so each subcommand imports the modules it
 runs inside its cmd_* function.  At the top this module imports only
 what the parser and lattice-check need: generators and poset, brun,
 and the verify-all scope table.
+
+The process entry, run(), called by the `geomsieve` script and by
+`python -m geomsieve.cli`, flushes stdout and stderr after main() and
+ends the process with os._exit, skipping interpreter teardown; the exit
+code is the one main() returns.  atexit handlers do not run, so
+coverage.py, for one, writes no data for such a process.  main(argv)
+never ends the process: it returns the exit code to its caller in the
+same interpreter.
 """
 
 import argparse
@@ -33,7 +41,7 @@ from .errors import ELEMENT_CAP, GeomsieveError, NotGeometric
 from .poset import _exact_digits, lattice_to_json
 from .scopes import SCOPES
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 def _json_int(text):
@@ -387,5 +395,19 @@ def main(argv=None):
         return 2
 
 
+def run():
+    """The process entry (see the module docstring).  A SystemExit or an
+    uncaught exception from main() ends the process the normal way.  So
+    does a failed flush: the code is returned, and the interpreter's own
+    flush at exit reports the failure, with exit code 120."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        return code
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
+import ast
 import csv
+import importlib
+import inspect
 import io
 import json
 import os
@@ -728,26 +731,157 @@ def test_output_deterministic(capsys):
     assert first == second
 
 
-def test_module_entry_point():
+def child_env():
+    """A CLI child's environment: the source tree on the path, and
+    PYTHONUNBUFFERED removed, so that stdout into a pipe or a file is
+    block-buffered as in a plain shell and a missing flush shows."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         geomsieve.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "geomsieve.cli", "--help"],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path})
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return env
+
+
+def spawn_cli(*argv, stdout=subprocess.PIPE, timeout=120):
+    """``python -m geomsieve.cli ARGV`` in a fresh process; bytes out."""
+    return subprocess.run(
+        [sys.executable, "-m", "geomsieve.cli", *argv], stdout=stdout,
+        stderr=subprocess.PIPE, timeout=timeout, env=child_env())
+
+
+def test_module_entry_point():
+    proc = spawn_cli("--help")
     assert proc.returncode == 0
-    assert "lattice-check" in proc.stdout
+    assert b"lattice-check" in proc.stdout
 
 
 def test_lattice_check_refuses_a_huge_non_simple_uniform_at_once():
     # U_{1,10^9}: sweeping its flats would take hours
-    src = os.path.dirname(os.path.dirname(os.path.abspath(generators.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "geomsieve.cli", "lattice-check",
-         "uniform:1:1000000000"], capture_output=True, text=True, timeout=10,
-        env={**os.environ, "PYTHONPATH": src})
+    proc = spawn_cli("lattice-check", "uniform:1:1000000000", timeout=10)
     assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == ("error: <Matroid uniform n=1000000000> has loops "
-                           "or parallel elements\n")
+    assert proc.stdout == b""
+    assert proc.stderr == (b"error: <Matroid uniform n=1000000000> has loops "
+                           b"or parallel elements\n")
+
+
+# Every subcommand and the exit codes 0, 1 and 2; {tmp} is the test's
+# temporary directory, which holds q22.json and inst.json.
+PARITY_ARGV = {
+    "lattice-check-name": (0, ["lattice-check", "boolean:3"]),
+    "lattice-check-file": (0, ["lattice-check", "{tmp}/q22.json",
+                               "--format", "text"]),
+    "lattice-check-not-geometric": (1, ["lattice-check", "chain:3"]),
+    "cap-refusal": (2, ["lattice-check", "boolean:13"]),
+    "usage-error": (2, ["dowling", "table", "--kind", "first"]),
+    "sieve-run": (0, ["sieve-run", "{tmp}/inst.json", "--cutoff", "all"]),
+    "verify-all": (0, ["verify-all", "--fast", "--scope", "sieve",
+                       "--format", "json"]),
+    "dowling-table": (0, ["dowling", "table", "--kind", "second", "--m", "2",
+                          "--nmax", "12"]),
+    "dowling-numbers": (0, ["dowling", "numbers", "--m", "2", "--nmax", "10",
+                            "--format", "csv"]),
+    "dowling-conv": (0, ["dowling", "conv", "--m", "1", "--n", "1",
+                         "--t", "1", "--s", "2"]),
+    "dowling-build": (0, ["dowling", "build", "--n", "3", "--m", "2",
+                          "--out", "{tmp}/q32.json"]),
+    "asym-dowling": (0, ["asym", "dowling", "--m", "1", "--r", "1",
+                         "--n", "40", "--compare-exact"]),
+}
+
+
+def _masked(out):
+    return re.sub(rb'"seconds": [0-9.e-]+', b'"seconds": 0', out)
+
+
+@pytest.mark.parametrize("name", PARITY_ARGV)
+def test_process_entry_matches_main_in_process(capsys, tmp_path, name):
+    expected, template = PARITY_ARGV[name]
+    argv = [arg.format(tmp=tmp_path) for arg in template]
+    (tmp_path / "q22.json").write_text(json.dumps(lattice_to_json(
+        generators.parse_named("dowling:2:2"))), encoding="utf-8")
+    inst = dowling.dowling_sieve_instance(3, 2, 3)
+    (tmp_path / "inst.json").write_text(json.dumps(sieve_instance_to_json(
+        inst, lattice_name="dowling:3:2")), encoding="utf-8")
+
+    def files():
+        return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    captured = capsys.readouterr()
+    in_process = (code, _masked(captured.out.encode()),
+                  captured.err.encode(), files())
+    proc = spawn_cli(*argv)
+    assert in_process[0] == expected
+    assert (proc.returncode, _masked(proc.stdout), proc.stderr,
+            files()) == in_process
+
+
+TABLE_200 = ["dowling", "table", "--kind", "second", "--m", "2",
+             "--nmax", "200"]
+
+
+def test_table_through_a_pipe_equals_its_out_file(tmp_path):
+    path = tmp_path / "w2.csv"
+    filed = spawn_cli(*TABLE_200, "--out", str(path))
+    piped = spawn_cli(*TABLE_200)
+    assert (filed.returncode, filed.stdout, filed.stderr) == (0, b"", b"")
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert len(piped.stdout) == 2_939_115  # far past a 64 KiB pipe buffer
+    assert piped.stdout == path.read_bytes()
+
+
+def test_dowling_build_leaves_a_complete_file(tmp_path):
+    path = tmp_path / "q42.json"
+    proc = spawn_cli("dowling", "build", "--n", "4", "--m", "2",
+                     "--out", str(path))
+    lat = generators.parse_named("dowling:4:2")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == f"wrote {lat.n_elems} elements to {path}\n".encode()
+    assert path.read_text(encoding="utf-8") == \
+        json.dumps(lattice_to_json(lat)) + "\n"
+
+
+def test_pipe_closed_by_the_reader_exits_two():
+    with subprocess.Popen(
+            [sys.executable, "-m", "geomsieve.cli", *TABLE_200],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=child_env()) as proc:
+        assert proc.stdout.read(1) == b"k"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (2, b"error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_failed_flush_at_exit_is_reported_by_the_interpreter():
+    # the answer fits the buffer, so the first write to /dev/full is the
+    # flush after main() returns: the entry leaves the normal way, and
+    # the interpreter reports the failure with its own exit code 120
+    with open("/dev/full", "wb") as full:
+        proc = spawn_cli("lattice-check", "boolean:3", stdout=full)
+    assert proc.returncode == 120
+    assert proc.stderr.startswith(b"Exception ignored in: <_io.TextIOWrapper "
+                                  b"name='<stdout>'")
+    assert proc.stderr.endswith(
+        b"OSError: [Errno 28] No space left on device\n")
+
+
+def test_console_script_is_the_entry_the_main_block_calls():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "pyproject.toml")
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["geomsieve"]
+    module, name = target.split(":")
+    entry = getattr(importlib.import_module(module), name)
+    tree = ast.parse(inspect.getsource(cli))
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    called = {node.func.id for node in ast.walk(block)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert called == {name}
+    assert entry is cli.run
