@@ -1,15 +1,13 @@
 """Command-line interface.
 
-Subcommands:
-
-    lattice-check SOURCE        geometric axioms + sign-alternation check
-    sieve-run PATH              run a sieve instance from a JSON file
-    verify-all                  run the named end-to-end checks
-    dowling table               emit a Whitney triangle as CSV
-    dowling build               write a Dowling lattice as JSON
-    dowling conv                one shifted convolution value
-    dowling numbers             Dowling numbers D_{m,r}(0..nmax)
-    asym dowling                saddle-point data for D_{m,r}(n)
+COMMANDS is the whole command line: each subcommand (dowling and asym
+hold one level of their own) with its help line and either its
+subcommands or its handler and arguments, each argument a tuple (name,
+kind, default, help): a name without dashes is a positional, the kind
+is str, int, _cutoff, a tuple of choices or bool (a flag), and the
+default _REQUIRED makes it required.  _parse reads argv against it:
+exact option names (--name value or --name=value), -h at every level,
+and a usage error in argparse's words, with exit code 2.
 
 SOURCE is either a path to a lattice JSON file or a generator name such
 as boolean:4, partition:5, dowling:3:2, uniform:2:6, graphic:k4.
@@ -30,10 +28,10 @@ never ends the process: it returns the exit code to its caller in the
 same interpreter.
 """
 
-import argparse
 import json
 import os
 import sys
+import types
 
 from . import generators
 from .brun import verify_brun
@@ -128,20 +126,18 @@ def _cutoff(text):
     try:
         value = int(text)
     except ValueError:
-        value = None
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(
-            f"need a non-negative integer or 'all', not {text!r}")
+        value = -1
+    if value < 0:
+        raise ValueError(f"need a non-negative integer or 'all', not {text!r}")
     return value
 
 
 def cmd_sieve_run(args):
     from .sieve import (
+        _main_and_bound,
         brun_bounds,
         brun_profile,
-        sieve_error_bound,
         sieve_instance_from_json,
-        sieve_main_term,
         sifted_count_exact,
     )
 
@@ -154,8 +150,7 @@ def cmd_sieve_run(args):
     if cutoff in (None, "all"):
         cutoff = (rank_tau + 1) // 2
     exact = sifted_count_exact(inst)
-    main_term = sieve_main_term(inst)
-    bound = sieve_error_bound(inst)
+    main_term, bound = _main_and_bound(inst)
     profile = brun_profile(inst) if every else (brun_bounds(inst, cutoff),)
     lower, upper = profile[-1]
     residual = exact - main_term
@@ -203,19 +198,18 @@ def cmd_verify_all(args):
 def cmd_dowling_table(args):
     from . import dowling
 
-    if args.kind == "first" and args.r not in (None, 1):
+    if args.kind == "first" and args.r != 1:
         raise ValueError("the first-kind triangle has no shift; drop --r")
-    r = 1 if args.r is None else args.r
     # each row is written as it is formed, so the table is never held
     if args.kind == "first":
         rows = dowling.whitney_first_rows(args.m, args.nmax)
     else:
-        rows = dowling.whitney_second_rows(args.m, r, args.nmax)
+        rows = dowling.whitney_second_rows(args.m, args.r, args.nmax)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            dowling._write_csv(fh, args.kind, args.m, r, rows)
+            dowling._write_csv(fh, args.kind, args.m, args.r, rows)
     else:
-        dowling._write_csv(sys.stdout, args.kind, args.m, r, rows)
+        dowling._write_csv(sys.stdout, args.kind, args.m, args.r, rows)
     return 0
 
 
@@ -257,17 +251,15 @@ def cmd_dowling_conv(args):
 def cmd_dowling_numbers(args):
     from . import dowling
 
-    r = 1 if args.r is None else args.r
     dowling._check_numbers_n(args.nmax, "nmax")
-    values = list(dowling._dowling_numbers(args.m, r, args.nmax))
+    values = list(dowling._dowling_numbers(args.m, args.r, args.nmax))
     if args.format == "csv":
         with _exact_digits():
             sys.stdout.write("n,value\n")
             for n, v in enumerate(values):
                 sys.stdout.write(f"{n},{v}\n")
     else:
-        _emit({"m": args.m, "r": r,
-               "values": values}, args.format)
+        _emit({"m": args.m, "r": args.r, "values": values}, args.format)
     return 0
 
 
@@ -301,91 +293,124 @@ def cmd_asym_dowling(args):
     return 0
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="geomsieve",
-        description="Exact lattice sieve and Dowling-number toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
+_REQUIRED = object()
+_INT = (int, _REQUIRED, None)
+_CAP = ("--cap-elements", int, ELEMENT_CAP, "refuse larger lattices")
+_FORMAT = ("--format", ("json", "text"), "json", None)
+COMMANDS = {
+    "lattice-check": (
+        "geometric axioms and sign-alternation check", cmd_lattice_check,
+        ("source", str, _REQUIRED, "lattice JSON path or generator name"),
+        _CAP, _FORMAT),
+    "sieve-run": ("run a sieve instance JSON file", cmd_sieve_run,
+                  ("path", str, _REQUIRED, None),
+                  ("--cutoff", _cutoff, None, "truncation parameter of the "
+                   "bounds, or 'all' for the bounds at every cutoff"),
+                  _CAP, _FORMAT),
+    "verify-all": ("run the end-to-end checks", cmd_verify_all,
+                   ("--scope", tuple(sorted(SCOPES)), "all", None),
+                   ("--fast", bool, False, "skip the largest instances"),
+                   ("--format", ("json", "text"), "text", None)),
+    "dowling": ("triangles, lattices, numbers", {
+        "table": ("Whitney triangle as CSV", cmd_dowling_table,
+                  ("--kind", ("first", "second"), _REQUIRED, None),
+                  ("--m", *_INT), ("--r", int, 1, None),
+                  ("--nmax", *_INT), ("--out", str, None, None)),
+        "build": ("write a Dowling lattice JSON", cmd_dowling_build,
+                  ("--n", *_INT), ("--m", *_INT),
+                  ("--out", str, _REQUIRED, None), _CAP),
+        "conv": ("one shifted convolution value", cmd_dowling_conv,
+                 ("--m", *_INT), ("--n", *_INT), ("--t", *_INT),
+                 ("--s", *_INT), _FORMAT),
+        "numbers": ("Dowling numbers up to nmax", cmd_dowling_numbers,
+                    ("--m", *_INT), ("--r", int, 1, None), ("--nmax", *_INT),
+                    ("--format", ("json", "text", "csv"), "json", None)),
+    }),
+    "asym": ("saddle-point asymptotics", {
+        "dowling": ("saddle data for D_{m,r}(n)", cmd_asym_dowling,
+                    ("--m", *_INT), ("--r", *_INT), ("--n", *_INT),
+                    ("--compare-exact", bool, False, None),
+                    ("--digits", int, 50, None), _FORMAT),
+    }),
+}
+_TOP = ("Exact lattice sieve and Dowling-number toolkit", COMMANDS)
 
-    def add_fmt(p, default="json", formats=("json", "text")):
-        p.add_argument("--format", choices=formats, default=default)
 
-    p = sub.add_parser("lattice-check",
-                       help="geometric axioms and sign-alternation check")
-    p.add_argument("source", help="lattice JSON path or generator name")
-    p.add_argument("--cap-elements", type=int, default=ELEMENT_CAP)
-    add_fmt(p)
-    p.set_defaults(func=cmd_lattice_check)
+def _shown(arg):
+    """An argument as usage shows it: source, --fast, --m M, --kind {a,b}."""
+    name, kind = arg[:2]
+    meta = ("{%s}" % ",".join(kind) if isinstance(kind, tuple)
+            else name[2:].upper())
+    return name if name[0] != "-" or kind is bool else f"{name} {meta}"
 
-    p = sub.add_parser("sieve-run", help="run a sieve instance JSON file")
-    p.add_argument("path")
-    p.add_argument("--cutoff", type=_cutoff, default=None,
-                   help="truncation parameter for the two-sided bounds, "
-                        "or 'all' to add the bounds at every cutoff")
-    p.add_argument("--cap-elements", type=int, default=ELEMENT_CAP)
-    add_fmt(p)
-    p.set_defaults(func=cmd_sieve_run)
 
-    p = sub.add_parser("verify-all", help="run the end-to-end checks")
-    p.add_argument("--scope", choices=sorted(SCOPES), default="all")
-    p.add_argument("--fast", action="store_true",
-                   help="smaller instances, skips the largest cases")
-    add_fmt(p, default="text")
-    p.set_defaults(func=cmd_verify_all)
+def _leave(prog, node, error=None):
+    """Exit 2 with the usage and error on stderr, or 0 with help on stdout."""
+    group = isinstance(node[1], dict)
+    usage = f"usage: {prog} [-h] " + ("{%s} ..." % ",".join(node[1])
+                                      if group else " ".join(
+        s if a[2] is _REQUIRED else f"[{s}]" for a in node[2:]
+        for s in [_shown(a)]))
+    if error:
+        print(usage, f"{prog}: error: {error}", sep="\n", file=sys.stderr)
+        raise SystemExit(2)
+    rows = ([(name, sub[0]) for name, sub in node[1].items()] if group
+            else [(_shown(a), a[3] or "") for a in node[2:]])
+    print(usage, "", node[0], "", *(f"  {left:<30} {right}".rstrip()
+          for left, right in [("-h, --help", "show this help"), *rows]),
+          sep="\n")
+    raise SystemExit(0)
 
-    dow = sub.add_parser("dowling", help="triangles, lattices, numbers")
-    dsub = dow.add_subparsers(dest="dowling_command", required=True)
 
-    p = dsub.add_parser("table", help="Whitney triangle as CSV")
-    p.add_argument("--kind", choices=["first", "second"], required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_dowling_table)
-
-    p = dsub.add_parser("build", help="write a Dowling lattice JSON")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--cap-elements", type=int, default=ELEMENT_CAP)
-    p.set_defaults(func=cmd_dowling_build)
-
-    p = dsub.add_parser("conv", help="one shifted convolution value")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    add_fmt(p)
-    p.set_defaults(func=cmd_dowling_conv)
-
-    p = dsub.add_parser("numbers", help="Dowling numbers up to nmax")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--nmax", type=int, required=True)
-    add_fmt(p, formats=("json", "text", "csv"))
-    p.set_defaults(func=cmd_dowling_numbers)
-
-    asy = sub.add_parser("asym", help="saddle-point asymptotics")
-    asub = asy.add_subparsers(dest="asym_command", required=True)
-
-    p = asub.add_parser("dowling", help="saddle data for D_{m,r}(n)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--compare-exact", action="store_true")
-    p.add_argument("--digits", type=int, default=50)
-    add_fmt(p)
-    p.set_defaults(func=cmd_asym_dowling)
-
-    return parser
+def _parse(words, stray, prog="geomsieve", node=_TOP, dest="command"):
+    """The handler the words name in COMMANDS and its arguments; words
+    no argument takes gather in stray.  -h and a usage error exit."""
+    group = isinstance(node[1], dict)  # its one positional picks a command
+    args = [(dest, tuple(node[1]), _REQUIRED, None)] if group else node[2:]
+    named = {a[0]: a for a in args if a[0][0] == "-"}
+    slots = [a for a in args if a[0][0] != "-"]
+    values = {a[0]: a[2] for a in args if a[2] is not _REQUIRED}
+    for word in words:
+        name, eq, value = word.partition("=")
+        arg = named.get(name)
+        if word in ("-h", "--help"):
+            _leave(prog, node)
+        if arg is None or eq and arg[1] is bool:  # a positional, or unknown
+            if word[:1] == "-" or not slots:
+                stray.append(word)
+                continue
+            arg, value = slots.pop(0), word
+        elif not eq:
+            value = True if arg[1] is bool else next(words, None)
+        name, kind = arg[:2]
+        try:
+            if value is None:
+                raise ValueError("expected one argument")
+            if isinstance(kind, tuple) and value not in kind:
+                raise ValueError(f"invalid choice: {value!r} (choose from "
+                                 f"{', '.join(map(repr, kind))})")
+            value = kind(value) if kind in (int, _cutoff) else value
+        except ValueError as exc:
+            int_error = kind is int and value is not None
+            _leave(prog, node, f"argument {name}: " + (
+                f"invalid int value: {value!r}" if int_error else str(exc)))
+        if group:
+            return _parse(words, stray, f"{prog} {value}", node[1][value],
+                          f"{value}_command")
+        values[name] = value
+    missing = ", ".join(a[0] for a in args if a[0] not in values)
+    if missing:
+        _leave(prog, node, f"the following arguments are required: {missing}")
+    if stray:
+        _leave("geomsieve", _TOP, f"unrecognized arguments: {' '.join(stray)}")
+    return node[1], types.SimpleNamespace(**{
+        name.lstrip("-").replace("-", "_"): v for name, v in values.items()})
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    func, args = _parse(iter(sys.argv[1:] if argv is None else argv), [])
     try:
-        return args.func(args)
+        return func(args)
     except NotGeometric as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1

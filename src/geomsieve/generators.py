@@ -153,33 +153,43 @@ def load_lattice(source, cap_elements=ELEMENT_CAP):
     return lattice_from_json(source, cap_elements)
 
 
+def _field(name, text):
+    """An integer field of a generator name, refused by name if not one."""
+    try:
+        return int(text)
+    except ValueError:
+        if text.strip().lstrip("+-").isdigit():  # past the digit limit
+            raise
+        raise ValueError(f"{name}: {text!r} is not an integer") from None
+
+
 def parse_named(name, cap_elements=ELEMENT_CAP):
     """Build a lattice from a generator name, enforcing the size cap."""
     parts = name.split(":")
     kind = parts[0]
 
     if kind == "boolean" and len(parts) == 2:
-        n = int(parts[1])
+        n = _field(name, parts[1])
         refuse_over(name, (1 << i for i in range(n + 1)), cap_elements)
         return boolean_lattice(n)
     if kind == "partition" and len(parts) == 2:
-        n = int(parts[1])
+        n = _field(name, parts[1])
         refuse_over(name, _bell_numbers(n), cap_elements)
         return partition_lattice(n)
     if kind == "chain" and len(parts) == 2:
-        r = int(parts[1])
+        r = _field(name, parts[1])
         refuse_over(name, [r + 1], cap_elements)
         return chain_lattice(r)
     if kind == "divisor" and len(parts) == 2:
-        n = int(parts[1])
+        n = _field(name, parts[1])
         refuse_over(name, [n], cap_elements)
         return divisor_lattice(n)
     if kind == "dowling" and len(parts) == 3:
         from . import dowling
-        n, m = int(parts[1]), int(parts[2])
+        n, m = (_field(name, p) for p in parts[1:])
         return dowling._admit(n, m, cap_elements)[2]
     if kind == "uniform" and len(parts) == 3:
-        k, n = int(parts[1]), int(parts[2])
+        k, n = (_field(name, p) for p in parts[1:])
         # the flats of rank < k, none of rank over n, and the ground set
         sizes = (comb(n, i) for i in range(min(k, n + 1)))
         refuse_over(name, accumulate(sizes, initial=1), cap_elements)

@@ -157,9 +157,7 @@ def _interval_whitney(inst):
 
 def sieve_main_term(inst):
     """X * sum_k f(n - k) w_k([bottom, tau]) as an exact Fraction."""
-    n = inst.lattice.top_rank
-    w = _interval_whitney(inst)
-    return inst.X * sum(inst.f[n - k] * w[k] for k in range(len(w)))
+    return _main_and_bound(inst, bound=False)[0]
 
 
 def sieve_error_bound(inst):
@@ -168,9 +166,16 @@ def sieve_error_bound(inst):
     This is the quantity the instance's error hypothesis is measured
     against (with constant one); nothing is asserted about it here.
     """
-    n = inst.lattice.top_rank
-    w = _interval_whitney(inst)
-    return sum((n - k) * inst.f[n - k] * abs(w[k]) for k in range(len(w)))
+    return _main_and_bound(inst, main=False)[1]
+
+
+def _main_and_bound(inst, main=True, bound=True):
+    """sieve_main_term and sieve_error_bound from one Whitney row."""
+    n, w = inst.lattice.top_rank, _interval_whitney(inst)
+    ks = range(len(w))
+    return (inst.X * sum(inst.f[n - k] * w[k] for k in ks) if main else None,
+            sum((n - k) * inst.f[n - k] * abs(w[k]) for k in ks)
+            if bound else None)
 
 
 def _rank_sums(inst, top):

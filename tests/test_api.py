@@ -55,6 +55,9 @@ def _loaded_after(statement):
 # dataclasses (and so no inspect), brun takes fractions only for a
 # Fraction entry, and the CSV code of dowling loads csv when it runs.
 HEAVY = {"dataclasses", "inspect", "fractions", "csv"}
+# The command line is read from cli's own table: no argparse, nor the
+# gettext and locale that argparse loads to build its parsers.
+ARGPARSE = {"argparse", "gettext", "locale"}
 NOT_RUN = {"geomsieve.verify", "geomsieve.sieve", "geomsieve.asym",
            "geomsieve.matroid", "geomsieve.dowling"}
 
@@ -81,11 +84,12 @@ def test_submodule_imports_load_only_what_they_need(tmp_path):
     assert sorted(unneeded & loaded) == []
 
     for statement in ("import geomsieve.cli", "import geomsieve.asym"):
-        assert "mpmath" not in _loaded_after(statement)
+        loaded = _loaded_after(statement)
+        assert sorted(({"mpmath"} | ARGPARSE) & loaded) == [], statement
 
     loaded = _cli_loaded(["lattice-check", "boolean:3"], 0)
     assert {"geomsieve.cli", "geomsieve.brun"} <= loaded
-    assert sorted((HEAVY | NOT_RUN | {"mpmath"}) & loaded) == []
+    assert sorted((HEAVY | NOT_RUN | ARGPARSE | {"mpmath"}) & loaded) == []
 
     path = tmp_path / "lattice.json"
     path.write_text(json.dumps(poset.lattice_to_json(
@@ -94,7 +98,7 @@ def test_submodule_imports_load_only_what_they_need(tmp_path):
                        (["lattice-check", "boolean:40"], 2),
                        (["lattice-check", "uniform:20:40"], 2)):
         loaded = _cli_loaded(argv, code)
-        assert sorted((HEAVY | NOT_RUN) & loaded) == [], argv
+        assert sorted((HEAVY | NOT_RUN | ARGPARSE) & loaded) == [], argv
 
     # sizing a dowling: name takes the triangle rows from dowling
     loaded = _cli_loaded(["lattice-check", "dowling:1500:2"], 2)

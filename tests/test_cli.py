@@ -15,7 +15,7 @@ from decimal import Decimal
 import pytest
 
 import geomsieve
-from geomsieve import cli, dowling, errors, generators, poset
+from geomsieve import cli, dowling, errors, generators, poset, sieve
 from geomsieve.cli import main
 from geomsieve.poset import _exact_digits, lattice_from_json, lattice_to_json
 from geomsieve.sieve import sieve_instance_to_json
@@ -177,6 +177,29 @@ def test_lattice_check_unknown_generator(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("name, field", [
+    ("boolean:x", "x"), ("partition:4.0", "4.0"), ("chain:", ""),
+    ("divisor:six", "six"), ("dowling:x:2", "x"), ("dowling:3:y", "y"),
+    ("uniform:k:6", "k"), ("uniform:2:n", "n")])
+def test_non_integer_generator_field_refused_by_name(capsys, name, field):
+    code, out, err = run_cli(capsys, "lattice-check", name)
+    assert (code, out) == (2, "")
+    assert err == f"error: {name}: {field!r} is not an integer\n"
+
+
+def test_integer_generator_fields_read_as_before(capsys):
+    code, data, _ = run_json(capsys, "lattice-check", "boolean:02")
+    assert (code, data["n"]) == (0, 4)
+    code, _out, err = run_cli(capsys, "lattice-check", "dowling:06:3",
+                              "--cap-elements", "100")
+    assert (code, err) == (
+        2, "error: dowling:6:3 has at least 214 elements, over the cap 100\n")
+    # an integer past the int-to-str digit limit keeps the interpreter's
+    # own refusal: it is an integer, only too long to read
+    code, _out, err = run_cli(capsys, "lattice-check", "boolean:" + "1" * 5000)
+    assert code == 2 and err.startswith("error: Exceeds the limit")
+
+
 def test_lattice_check_unknown_graph(capsys):
     code, out, err = run_cli(capsys, "lattice-check", "graphic:k6")
     assert (code, out, err) == (2, "", "error: unknown graph 'k6'\n")
@@ -223,6 +246,23 @@ def test_sieve_run_exact_density(capsys, tmp_path):
     assert data["residual"] == "0"
     assert data["sandwich_ok"] is True
     assert data["lower"] <= 18 <= data["upper"]
+
+
+def test_sieve_run_forms_the_whitney_row_once(capsys, tmp_path, monkeypatch):
+    inst = dowling.dowling_sieve_instance(3, 2, 3)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(sieve_instance_to_json(
+        inst, lattice_name="dowling:3:2")), encoding="utf-8")
+    rows = []
+    whitney = sieve._interval_whitney
+    monkeypatch.setattr(sieve, "_interval_whitney",
+                        lambda inst: rows.append(inst.tau) or whitney(inst))
+    code, data, _ = run_json(capsys, "sieve-run", str(path))
+    assert (code, len(rows)) == (0, 1)
+    # the values the public functions give one at a time
+    assert data["main_term"] == str(sieve.sieve_main_term(inst))
+    assert data["error_bound"] == str(sieve.sieve_error_bound(inst))
+    assert len(rows) == 3
 
 
 def test_sieve_run_cutoff_variants(capsys, tmp_path):
@@ -725,6 +765,123 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
 
 
+# --help at every level of the command table, and what it must name
+HELP_NAMES = {
+    (): ["lattice-check", "sieve-run", "verify-all", "dowling", "asym"],
+    ("lattice-check",): ["source", "--cap-elements", "--format"],
+    ("sieve-run",): ["path", "--cutoff", "--cap-elements", "--format"],
+    ("verify-all",): ["--scope", "--fast", "--format"],
+    ("dowling",): ["table", "build", "conv", "numbers"],
+    ("dowling", "table"): ["--kind", "--m", "--r", "--nmax", "--out"],
+    ("dowling", "build"): ["--n", "--m", "--out", "--cap-elements"],
+    ("dowling", "conv"): ["--m", "--n", "--t", "--s", "--format"],
+    ("dowling", "numbers"): ["--m", "--r", "--nmax", "--format"],
+    ("asym",): ["dowling"],
+    ("asym", "dowling"): ["--m", "--r", "--n", "--compare-exact", "--digits",
+                          "--format"],
+}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", HELP_NAMES,
+                         ids=lambda command: " ".join(command) or "top")
+def test_help_at_every_level(capsys, command, flag):
+    with pytest.raises(SystemExit) as info:
+        main([*command, flag])
+    out, err = capsys.readouterr()
+    assert (info.value.code, err) == (0, "")
+    assert out.startswith(" ".join(["usage: geomsieve", *command, "[-h]"]))
+    words = {word.strip("[]") for word in out.split()}
+    assert sorted(set(HELP_NAMES[command]) - words) == []
+
+
+# One argv per class of usage error, with the error line argparse wrote
+# for it; the line before it is the usage of the same command.
+USAGE_ERRORS = {
+    "no command": (
+        [], "geomsieve: error: the following arguments are required: command"),
+    "unknown command": (
+        ["no-such-command"],
+        "geomsieve: error: argument command: invalid choice: "
+        "'no-such-command' (choose from 'lattice-check', 'sieve-run', "
+        "'verify-all', 'dowling', 'asym')"),
+    "no subcommand": (
+        ["dowling"], "geomsieve dowling: error: the following arguments are "
+        "required: dowling_command"),
+    "unknown subcommand": (
+        ["asym", "x"], "geomsieve asym: error: argument asym_command: invalid "
+        "choice: 'x' (choose from 'dowling')"),
+    "unknown option": (
+        ["lattice-check", "boolean:2", "--bogus"],
+        "geomsieve: error: unrecognized arguments: --bogus"),
+    "option missing its value": (
+        ["lattice-check", "boolean:2", "--format"],
+        "geomsieve lattice-check: error: argument --format: expected one "
+        "argument"),
+    "missing required option": (
+        ["dowling", "table", "--kind", "first"],
+        "geomsieve dowling table: error: the following arguments are "
+        "required: --m, --nmax"),
+    "missing positional": (
+        ["lattice-check", "--format", "text"],
+        "geomsieve lattice-check: error: the following arguments are "
+        "required: source"),
+    "bad int": (
+        ["dowling", "conv", "--m", "x", "--n", "1", "--t", "1", "--s", "2"],
+        "geomsieve dowling conv: error: argument --m: invalid int value: 'x'"),
+    "bad choice": (
+        ["verify-all", "--scope", "nope"],
+        "geomsieve verify-all: error: argument --scope: invalid choice: "
+        "'nope' (choose from 'all', 'asym', 'dowling', 'lattice', 'matroid', "
+        "'sequences', 'sieve')"),
+    "extra positional": (
+        ["lattice-check", "boolean:2", "extra"],
+        "geomsieve: error: unrecognized arguments: extra"),
+}
+
+
+@pytest.mark.parametrize("case", USAGE_ERRORS)
+def test_usage_error_lines(capsys, case):
+    argv, line = USAGE_ERRORS[case]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (2, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: " + line.split(": error: ")[0] + " [-h]")
+    assert error == line
+
+
+@pytest.mark.parametrize("option", ["--cap", "--cap-element", "--form",
+                                    "--no-such-option"])
+def test_only_exact_option_names_are_options(capsys, option):
+    # argparse read an unambiguous prefix such as --cap as --cap-elements;
+    # now a prefix is an unrecognized argument like any unknown option
+    with pytest.raises(SystemExit) as info:
+        main(["lattice-check", "boolean:3", option, "9"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"geomsieve: error: unrecognized arguments: {option} 9")
+
+
+def test_option_values_read_as_before(capsys):
+    text = run_cli(capsys, "lattice-check", "boolean:2", "--format", "text")
+    assert text[0] == 0 and text[1].startswith("brun_ok: True")
+    # --name=value; the last repeat wins; options before a positional
+    for argv in (["boolean:2", "--format=text"],
+                 ["boolean:2", "--format", "json", "--format", "text"],
+                 ["--format", "text", "boolean:2"]):
+        assert run_cli(capsys, "lattice-check", *argv) == text
+    # a value that starts with "-" is read as the option's value
+    assert run_cli(capsys, "dowling", "table", "--kind", "second",
+                   "--m", "-1", "--nmax", "2") == (
+        2, "", "error: need m >= 1 and r >= 0\n")
+    # a flag takes no value
+    with pytest.raises(SystemExit) as info:
+        main(["verify-all", "--fast=yes"])
+    assert info.value.code == 2
+
+
 def test_output_deterministic(capsys):
     _, first, _ = run_cli(capsys, "lattice-check", "dowling:2:2")
     _, second, _ = run_cli(capsys, "lattice-check", "dowling:2:2")
@@ -774,6 +931,8 @@ PARITY_ARGV = {
     "lattice-check-not-geometric": (1, ["lattice-check", "chain:3"]),
     "cap-refusal": (2, ["lattice-check", "boolean:13"]),
     "usage-error": (2, ["dowling", "table", "--kind", "first"]),
+    "unknown-option": (2, ["lattice-check", "boolean:3", "--bogus"]),
+    "help": (0, ["dowling", "table", "--help"]),
     "sieve-run": (0, ["sieve-run", "{tmp}/inst.json", "--cutoff", "all"]),
     "verify-all": (0, ["verify-all", "--fast", "--scope", "sieve",
                        "--format", "json"]),
@@ -809,7 +968,7 @@ def test_process_entry_matches_main_in_process(capsys, tmp_path, name):
 
     try:
         code = main(argv)
-    except SystemExit as exc:  # argparse's usage error
+    except SystemExit as exc:  # a usage error or --help
         code = exc.code
     captured = capsys.readouterr()
     in_process = (code, _masked(captured.out.encode()),
