@@ -22,11 +22,12 @@ source over the element cap before building it.  Names are sized from
 small lower bounds, so a huge parameter never forms a huge number.
 """
 
+import sys
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
 
-from .errors import ELEMENT_CAP, refuse_over
+from .errors import ELEMENT_CAP, TooLarge, refuse_over
 from .poset import build_lattice, lattice_from_json
 
 __all__ = [
@@ -154,11 +155,19 @@ def load_lattice(source, cap_elements=ELEMENT_CAP):
 
 
 def _field(name, text):
-    """An integer field of a generator name, refused by name if not one."""
+    """An integer field of a generator name, refused by name if not one;
+    past the int-to-str digit limit, refused by its digit count."""
     try:
         return int(text)
     except ValueError:
-        if text.strip().lstrip("+-").isdigit():  # past the digit limit
+        field = text.strip()
+        digits = field[1:] if field[:1] in ("+", "-") else field
+        limit = sys.get_int_max_str_digits()  # 0: no limit
+        if 0 < limit < len(digits) and digits.isdecimal():
+            raise TooLarge(
+                f"{name.split(':')[0]} name has a {len(digits)}-digit "
+                f"field, past the {limit}-digit limit on integers") from None
+        if field.lstrip("+-").isdigit():  # '+-5', a superscript: int()'s
             raise
         raise ValueError(f"{name}: {text!r} is not an integer") from None
 

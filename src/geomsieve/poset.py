@@ -199,16 +199,18 @@ class FiniteLattice:
         return self._idx_of[s[1]:s[2]] if len(s) > 2 else []
 
     def _up_bits(self, counts):
-        """(bit, multiplicity) pairs from a Counter of elements, one per
-        element: the bit that element takes in every up-set mask."""
-        last, pos_of = self.n_elems - 1, self._pos_of
-        return [(last - pos_of[a], k) for a, k in counts.items()]
+        """(position, multiplicity) pairs from a Counter of elements, one
+        per element: the character that element takes in _count_above's
+        string."""
+        pos_of = self._pos_of
+        return [(pos_of[a], k) for a, k in counts.items()]
 
     def _count_above(self, y, pairs):
         """Sum of the multiplicities of _up_bits pairs whose element lies
-        above y: one bit test per pair."""
-        up = self._up[self._pos_of[y]]
-        return sum(k for b, k in pairs if up >> b & 1)
+        above y: y's up-set read once as an n-character string, in which
+        character q is position q, and one character test per pair."""
+        up = f"{self._up[self._pos_of[y]]:0{self.n_elems}b}"
+        return sum(k for q, k in pairs if up[q] == "1")
 
     def _rank_profiles(self, x):
         """(upper, lower): the number of y >= x in each rank from rank(x)

@@ -14,8 +14,8 @@ by rank y.  At cutoff c the upper bound is the prefix sum up to rank
 2c and the lower bound the one up to rank 2c + 1: brun_bounds walks only
 as far as rank 2c + 1, and brun_profile walks once for every cutoff.
 A is read once per walk into (position, multiplicity) pairs of its
-distinct elements, and each #A_y is then one bit test per pair against
-the up-set mask of y.
+distinct elements.  Each #A_y reads the up-set of y once as a string
+with one character per position, and tests one character per pair.
 
 All arithmetic is exact (ints and Fractions).
 """
@@ -127,22 +127,25 @@ def sifted_count_exact(inst):
 
 
 def count_above(inst, y):
-    """#{a in A : y <= a}, counted with multiplicity; y must lie below
-    tau.  The same count as each term of the bounds' walk."""
+    """#{a in A : y <= a}, counted with multiplicity; y must be an element
+    index below tau.  The same count as each term of the bounds' walk."""
     lat = inst.lattice
+    if not _is_index(y) or not 0 <= y < lat.n_elems:
+        raise ValueError(f"y {y} is not an element index")
     if not lat.leq(y, inst.tau):
         raise NotComparable(f"{y} is not below tau={inst.tau}")
     return _count_up(lat, y, _position_counts(inst))
 
 
 def _position_counts(inst):
-    """A as (bit, multiplicity) pairs for _count_up, one per distinct
-    element: the bit that element takes in the lattice's up-sets."""
+    """A as (position, multiplicity) pairs for _count_up, one per
+    distinct element: the character that element takes in the string
+    the lattice reads each up-set into."""
     return inst.lattice._up_bits(Counter(inst.A))
 
 
 def _count_up(lat, y, pairs):
-    """#A_y from A's pairs: one bit test per distinct element."""
+    """#A_y from A's pairs: one character test per distinct element."""
     return lat._count_above(y, pairs)
 
 
@@ -182,9 +185,10 @@ def _rank_sums(inst, top):
     """S_k = sum of mu(bottom, y) * #A_y over the y <= tau of rank k,
     for k = 0..min(top, rank tau): one walk of down(tau), which ascends
     by rank, stopped at the first y of rank > top.  A is read into its
-    (bit, multiplicity) pairs once, and each #A_y costs one bit
-    test per distinct element of A; every y is below tau by
-    construction, so no order test is made."""
+    (position, multiplicity) pairs once, and each #A_y reads y's up-set
+    once as a string and costs one character test per distinct element
+    of A; every y is below tau by construction, so no order test is
+    made."""
     lat = inst.lattice
     mu = lat.mobius_table(lat.bottom)
     rank = lat.rank

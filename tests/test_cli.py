@@ -194,10 +194,43 @@ def test_integer_generator_fields_read_as_before(capsys):
                               "--cap-elements", "100")
     assert (code, err) == (
         2, "error: dowling:6:3 has at least 214 elements, over the cap 100\n")
-    # an integer past the int-to-str digit limit keeps the interpreter's
-    # own refusal: it is an integer, only too long to read
+    # an integer past the int-to-str digit limit is refused by its
+    # digit count: it is an integer, only too long to read
     code, _out, err = run_cli(capsys, "lattice-check", "boolean:" + "1" * 5000)
-    assert code == 2 and err.startswith("error: Exceeds the limit")
+    assert (code, err) == (
+        2, "error: boolean name has a 5000-digit field, past the "
+           f"{sys.get_int_max_str_digits()}-digit limit on integers\n")
+
+
+@pytest.mark.parametrize("pattern", [
+    "boolean:{}", "partition:{}", "chain:{}", "divisor:{}", "dowling:{}:2",
+    "dowling:3:{}", "uniform:{}:6", "uniform:2:{}"])
+def test_generator_field_past_the_digit_limit_refused_by_size(capsys,
+                                                              pattern):
+    digits = sys.get_int_max_str_digits() + 700
+    code, out, err = run_cli(capsys, "lattice-check",
+                             pattern.format("1" * digits))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Exceeds" not in err and "1" * 20 not in err
+    assert f" a {digits}-digit field" in err
+
+
+@pytest.mark.parametrize("limit", [None, 0])  # 0 turns the limit off
+@pytest.mark.parametrize("field", ["+-5", "²", "+-" + "1" * 5000])
+def test_malformed_digit_field_is_not_past_the_limit(capsys, field, limit):
+    # int()'s own refusal, whatever the limit and the length of the run
+    old = sys.get_int_max_str_digits()
+    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        with pytest.raises(ValueError) as exc:
+            int(field)
+        code, _out, err = run_cli(capsys, "lattice-check", "boolean:" + field)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert str(exc.value).startswith("invalid literal for int()")
+    assert (code, err) == (2, f"error: {exc.value}\n")
 
 
 def test_lattice_check_unknown_graph(capsys):

@@ -145,6 +145,36 @@ def test_count_above():
         count_above(inst, 4)  # the atom 4 is not below tau=3
 
 
+@pytest.mark.parametrize("y", [-1, -8, 8, True, 1.5])
+def test_count_above_refuses_a_y_that_is_not_an_element_index(y):
+    # -1 and -8 would read elements 7 and 0, True element 1
+    inst = b3_instance(T=[1, 2, 4], A=[0, 1, 3, 3, 7])
+    with pytest.raises(ValueError) as exc:
+        count_above(inst, y)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"y {y} is not an element index"
+
+
+@pytest.mark.parametrize("name", ["boolean:10", "partition:7", "dowling:5:3"])
+def test_count_above_on_a_benchmark_lattice(name):
+    # A holds the bottom and the top, the first and the last character
+    # of an up-set's string, one element 50 times and 200 seeded draws
+    lat = generators.parse_named(name)
+    n = lat.n_elems
+    assert (lat._pos_of[lat.bottom], lat._pos_of[lat.top]) == (0, n - 1)
+    rng = random.Random(0)
+    A = ([lat.bottom, lat.top] + [rng.randrange(n)] * 50
+         + [rng.randrange(n) for _ in range(200)])
+    inst = SieveInstance(lattice=lat, A=A, T=lat.atoms()[:lat.top_rank - 1],
+                         f=[0] * (lat.top_rank + 1), X=1)
+    counts = Counter(A)
+    for y in lat.down_set(inst.tau):
+        assert count_above(inst, y) == sum(
+            k for a, k in counts.items() if lat.leq(y, a))
+    exact = sifted_count_exact(inst)
+    assert brun_profile(inst)[-1] == (exact, exact)
+
+
 def test_count_above_dowling_is_dowling_number():
     n, m = 3, 2
     inst = dowling.dowling_sieve_instance(n, m, n)
