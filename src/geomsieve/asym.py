@@ -38,8 +38,10 @@ _NEWTON_STEPS = 100
 
 
 def _validate(m, r, n, digits):
-    if not (isinstance(m, int) and isinstance(r, int) and isinstance(n, int)):
-        raise TypeError("m, r, n must be ints")
+    for name, value in (("m", m), ("r", r), ("n", n), ("digits", digits)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(
+                f"{name} must be an int, not {type(value).__name__}")
     if m < 1 or r < 1 or n < 1 or digits < 1:
         raise ValueError("need m >= 1, r >= 1, n >= 1, digits >= 1")
     if digits > errors.DIGITS_CAP:

@@ -35,7 +35,7 @@ import types
 
 from . import generators
 from .brun import verify_brun
-from .errors import ELEMENT_CAP, GeomsieveError, NotGeometric
+from .errors import ELEMENT_CAP, BrunViolation, GeomsieveError, NotGeometric
 from .poset import _exact_digits, lattice_to_json
 from .scopes import SCOPES
 
@@ -411,7 +411,7 @@ def main(argv=None):
     func, args = _parse(iter(sys.argv[1:] if argv is None else argv), [])
     try:
         return func(args)
-    except NotGeometric as exc:
+    except (NotGeometric, BrunViolation) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except (GeomsieveError, ValueError, TypeError, OSError,

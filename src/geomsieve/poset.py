@@ -67,6 +67,11 @@ takes more Python steps than the plain walk would; the price is one OR
 into a mask per nonzero value.  Geometric lattices have few values (2
 on boolean lattices, at most 20 on partition:8 and dowling:6:2), so
 their tables are summed almost entirely by masks.
+
+Up-set counts of a multiset, by the same device: the sieve's #A_y is
+sum_k k * popcount(up(y) & L_k), where L_k masks the elements of
+multiplicity k in A.  That is one AND per distinct multiplicity, so an
+empty A costs nothing and A = every element once costs one popcount.
 """
 
 import contextlib
@@ -199,18 +204,19 @@ class FiniteLattice:
         return self._idx_of[s[1]:s[2]] if len(s) > 2 else []
 
     def _up_bits(self, counts):
-        """(position, multiplicity) pairs from a Counter of elements, one
-        per element: the character that element takes in _count_above's
-        string."""
-        pos_of = self._pos_of
-        return [(pos_of[a], k) for a, k in counts.items()]
+        """(k, mask) layers from a Counter of elements, one per distinct
+        multiplicity k: the mask holds the elements of multiplicity k in
+        up-set bit order (position q at bit n - 1 - q)."""
+        last, pos_of, masks = self.n_elems - 1, self._pos_of, {}
+        for a, k in counts.items():
+            masks[k] = masks.get(k, 0) | 1 << last - pos_of[a]
+        return list(masks.items())
 
-    def _count_above(self, y, pairs):
-        """Sum of the multiplicities of _up_bits pairs whose element lies
-        above y: y's up-set read once as an n-character string, in which
-        character q is position q, and one character test per pair."""
-        up = f"{self._up[self._pos_of[y]]:0{self.n_elems}b}"
-        return sum(k for q, k in pairs if up[q] == "1")
+    def _count_above(self, y, layers):
+        """Sum of the multiplicities of the elements above y: one AND and
+        one popcount of y's up-set per _up_bits layer."""
+        up = self._up[self._pos_of[y]]
+        return sum(k * (up & mask).bit_count() for k, mask in layers)
 
     def _rank_profiles(self, x):
         """(upper, lower): the number of y >= x in each rank from rank(x)

@@ -13,9 +13,13 @@ The bounds come from one walk of down(tau) that sums mu(bottom, y) #A_y
 by rank y.  At cutoff c the upper bound is the prefix sum up to rank
 2c and the lower bound the one up to rank 2c + 1: brun_bounds walks only
 as far as rank 2c + 1, and brun_profile walks once for every cutoff.
-A is read once per walk into (position, multiplicity) pairs of its
-distinct elements.  Each #A_y reads the up-set of y once as a string
-with one character per position, and tests one character per pair.
+A is read once per walk into multiplicity layers, one position mask per
+distinct multiplicity k of its elements, so #A_y is the sum over the
+layers of k times the popcount of y's up-set within the mask.  A walk
+that reaches rank tau has summed the whole expansion, so its rank sums
+must add up to #{a in A : a meet tau = bottom}; that count is made
+again by meets, once per distinct element of A and apart from the
+masks, and a walk that misses it raises BrunViolation.
 
 All arithmetic is exact (ints and Fractions).
 """
@@ -26,7 +30,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate
 
-from .errors import ELEMENT_CAP, NotComparable, NotGeometric
+from .errors import ELEMENT_CAP, BrunViolation, NotComparable, NotGeometric
 from .generators import load_lattice
 from .poset import _is_index, lattice_to_json
 
@@ -134,19 +138,19 @@ def count_above(inst, y):
         raise ValueError(f"y {y} is not an element index")
     if not lat.leq(y, inst.tau):
         raise NotComparable(f"{y} is not below tau={inst.tau}")
-    return _count_up(lat, y, _position_counts(inst))
+    return _count_up(lat, y, _position_counts(inst)[1])
 
 
 def _position_counts(inst):
-    """A as (position, multiplicity) pairs for _count_up, one per
-    distinct element: the character that element takes in the string
-    the lattice reads each up-set into."""
-    return inst.lattice._up_bits(Counter(inst.A))
+    """A read once: the Counter of its elements and, for _count_up, its
+    (multiplicity, position mask) layers, one per distinct multiplicity."""
+    counts = Counter(inst.A)
+    return counts, inst.lattice._up_bits(counts)
 
 
-def _count_up(lat, y, pairs):
-    """#A_y from A's pairs: one character test per distinct element."""
-    return lat._count_above(y, pairs)
+def _count_up(lat, y, layers):
+    """#A_y from A's layers: one popcount per distinct multiplicity."""
+    return lat._count_above(y, layers)
 
 
 def _interval_whitney(inst):
@@ -185,21 +189,34 @@ def _rank_sums(inst, top):
     """S_k = sum of mu(bottom, y) * #A_y over the y <= tau of rank k,
     for k = 0..min(top, rank tau): one walk of down(tau), which ascends
     by rank, stopped at the first y of rank > top.  A is read into its
-    (position, multiplicity) pairs once, and each #A_y reads y's up-set
-    once as a string and costs one character test per distinct element
-    of A; every y is below tau by construction, so no order test is
-    made."""
+    multiplicity layers once, and each #A_y costs one popcount per
+    layer; every y is below tau by construction, so no order test is
+    made.  A walk that reaches rank tau is checked by _check_total."""
     lat = inst.lattice
     mu = lat.mobius_table(lat.bottom)
     rank = lat.rank
-    pairs = _position_counts(inst)
+    counts, layers = _position_counts(inst)
     sums = [0] * (min(top, rank[inst.tau]) + 1)
     for y in lat.down_set(inst.tau):
         r = rank[y]
         if r > top:
             break
-        sums[r] += mu[y] * _count_up(lat, y, pairs)
+        sums[r] += mu[y] * _count_up(lat, y, layers)
+    if top >= rank[inst.tau]:
+        _check_total(inst, counts, sum(sums))
     return sums
+
+
+def _check_total(inst, counts, total):
+    """Raise BrunViolation unless the rank sums of a whole walk, total,
+    equal #{a in A : a meet tau = bottom}, counted by meets once per
+    distinct element of A (counts) and weighted by its multiplicity."""
+    lat = inst.lattice
+    bottom, tau = lat.bottom, inst.tau
+    exact = sum(k for a, k in counts.items() if lat.meet(a, tau) == bottom)
+    if total != exact:
+        raise BrunViolation(f"the rank sums add up to {total}, not to "
+                            f"the sifted count {exact}")
 
 
 def brun_bounds(inst, cutoff):
@@ -208,9 +225,10 @@ def brun_bounds(inst, cutoff):
 
     The upper bound truncates the Mobius expansion at rank 2*cutoff,
     the lower at rank 2*cutoff + 1.  Both equal the exact count once
-    the truncation rank reaches rank(tau).  Only the y <= tau of rank
-    <= 2*cutoff + 1 are counted; brun_profile gives every cutoff at
-    the price of the largest.
+    the truncation rank reaches rank(tau), which is checked (see
+    _check_total).  Only the y <= tau of rank <= 2*cutoff + 1 are
+    counted; brun_profile gives every cutoff at the price of the
+    largest.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
@@ -220,8 +238,8 @@ def brun_bounds(inst, cutoff):
 
 def brun_profile(inst):
     """brun_bounds(inst, c) for c = 0..ceil(rank tau / 2), from one
-    walk of down(tau).  The last entry is (exact, exact), and every
-    larger cutoff has the same bounds."""
+    walk of down(tau).  The last entry is (exact, exact), checked as in
+    brun_bounds, and every larger cutoff has the same bounds."""
     partial = list(accumulate(_rank_sums(inst, inst.lattice.rank[inst.tau])))
     last = len(partial) - 1
     return tuple((partial[min(2 * c + 1, last)], partial[min(2 * c, last)])

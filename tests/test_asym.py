@@ -121,6 +121,34 @@ def test_validation_rejects_bad_arguments():
             fn(1, 1, 10, digits=0)
 
 
+@pytest.mark.parametrize("fn", [solve_delta, saddle_values, compare_exact])
+@pytest.mark.parametrize("args, digits, name, kind", [
+    ((True, 1, 10), 50, "m", "bool"),
+    ((1, True, 10), 50, "r", "bool"),
+    ((1, 1, True), 50, "n", "bool"),
+    ((1, 1, 10), True, "digits", "bool"),
+    ((1, 1, 10), False, "digits", "bool"),
+    ((1, 1, 10), 2.5, "digits", "float"),
+    ((1, 1, 10), "5", "digits", "str"),
+    ((1, 1, 10), None, "digits", "NoneType"),
+])
+def test_validation_names_a_bool_or_non_int_argument(fn, args, digits, name,
+                                                    kind):
+    # True is an int to isinstance, so it once read as m = 1; digits
+    # was never type-checked
+    with pytest.raises(TypeError, match=f"^{name} must be an int, not {kind}$"):
+        fn(*args, digits=digits)
+
+
+def test_solve_delta_refuses_a_root_outside_its_proven_range(monkeypatch):
+    # a start d far above the root: Newton's first step is about 1, a
+    # relative step of about 1/d, already under the tolerance, so the
+    # loop ends at once on a d far above log(n) / m
+    monkeypatch.setattr(mp, "lambertw", lambda z: mp.mpf(10) ** 40)
+    with pytest.raises(NoConvergence, match="^root outside its proven range$"):
+        solve_delta(1, 1, 10, digits=10)
+
+
 def test_digits_over_cap_refused_before_any_mpmath_work(monkeypatch):
     contexts = []
     workdps = mp.workdps

@@ -22,6 +22,7 @@ from geomsieve.sieve import sieve_instance_to_json
 
 import oracles
 from test_kernels import ZOO
+from test_sieve import overcounting_bottom
 
 
 def run_cli(capsys, *argv):
@@ -343,6 +344,42 @@ def test_sieve_run_cutoff_all(capsys, tmp_path):
                            "--format", "text")
     assert code == 0
     assert f"profile: {profile}" in out.splitlines()
+
+
+@pytest.mark.parametrize("cutoff", [[], ["--cutoff", "all"]],
+                         ids=["default", "all"])
+def test_sieve_run_fails_when_the_walk_misses_the_exact_count(
+        capsys, tmp_path, monkeypatch, cutoff):
+    # with the exact count one too high, the walk's whole sum (the last
+    # bounds, both at the default cutoff and in the profile) misses it:
+    # the JSON is printed with sandwich_ok false and the exit code is 1
+    inst = dowling.dowling_sieve_instance(3, 2, 3)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(sieve_instance_to_json(
+        inst, lattice_name="dowling:3:2")), encoding="utf-8")
+    exact = sieve.sifted_count_exact(inst)
+    monkeypatch.setattr(sieve, "sifted_count_exact",
+                        lambda inst: exact + 1)
+    code, data, _ = run_json(capsys, "sieve-run", str(path), *cutoff)
+    assert (code, data["sandwich_ok"]) == (1, False)
+    assert (data["sifted_count"], data["lower"], data["upper"]) == \
+        (exact + 1, exact, exact)
+
+
+def test_sieve_run_reports_a_failed_walk_check(capsys, tmp_path,
+                                              monkeypatch):
+    # a walk whose rank sums miss the sifted count is a failed check
+    # (exit 1), as a non-geometric [bottom, tau] is, not an input error
+    inst = dowling.dowling_sieve_instance(3, 2, 3)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(sieve_instance_to_json(
+        inst, lattice_name="dowling:3:2")), encoding="utf-8")
+    overcounting_bottom(monkeypatch)
+    exact = sieve.sifted_count_exact(inst)
+    code, out, err = run_cli(capsys, "sieve-run", str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"check failed: the rank sums add up to {exact + 1}, "
+                   f"not to the sifted count {exact}\n")
 
 
 def test_sieve_run_cutoff_all_fails_on_any_broken_sandwich(

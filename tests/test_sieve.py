@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomsieve import dowling, generators, sieve, verify
-from geomsieve.errors import NotComparable, NotGeometric
+from geomsieve import cli, dowling, generators, sieve, verify
+from geomsieve.errors import BrunViolation, NotComparable, NotGeometric
 from geomsieve.poset import build_lattice
 from geomsieve.sieve import (
     SieveInstance,
@@ -157,8 +157,8 @@ def test_count_above_refuses_a_y_that_is_not_an_element_index(y):
 
 @pytest.mark.parametrize("name", ["boolean:10", "partition:7", "dowling:5:3"])
 def test_count_above_on_a_benchmark_lattice(name):
-    # A holds the bottom and the top, the first and the last character
-    # of an up-set's string, one element 50 times and 200 seeded draws
+    # A holds the bottom and the top, the highest and the lowest bit of
+    # a layer mask, one element 50 times and 200 seeded draws
     lat = generators.parse_named(name)
     n = lat.n_elems
     assert (lat._pos_of[lat.bottom], lat._pos_of[lat.top]) == (0, n - 1)
@@ -317,27 +317,53 @@ def test_brun_profile_matches_every_cutoff(data):
                                       inst.tau, cutoff)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_count_above_on_repeated_elements(data):
-    # A has at most 3 distinct elements, each up to 50 times, one of
-    # them above none of the atoms of T (so it is sifted out by none)
-    name = data.draw(st.sampled_from(SMALL_ZOO), label="lattice")
-    lat = generators.parse_named(name)
-    T = data.draw(st.lists(st.sampled_from(lat.atoms()), unique=True),
-                  label="T")
-    free = [a for a in range(lat.n_elems)
-            if not any(lat.leq(t, a) for t in T)]
+def multiset_of_kind(data, lat, free):
+    """A multiset of one of four kinds: at most 3 distinct elements,
+    each up to 50 times and one of them from free, in any order; up to
+    40 distinct elements, each with a multiplicity of its own (one layer
+    each, as many as the lattice has elements); the empty multiset; or
+    one element 10,000 times."""
+    kind = data.draw(st.sampled_from(["few", "layers", "empty", "repeated"]),
+                     label="kind")
+    if kind == "empty":
+        return []
+    if kind == "repeated":
+        return [data.draw(st.integers(0, lat.n_elems - 1), label="a")] * 10_000
+    if kind == "layers":
+        elems = data.draw(st.lists(st.integers(0, lat.n_elems - 1),
+                                   min_size=1, max_size=40, unique=True),
+                          label="elements")
+        times = data.draw(st.lists(st.integers(1, 60), min_size=len(elems),
+                                   max_size=len(elems), unique=True),
+                          label="multiplicities")
+        return [a for a, k in zip(elems, times) for _ in range(k)]
     distinct = data.draw(st.lists(st.integers(0, lat.n_elems - 1),
                                   max_size=2), label="others")
     distinct = list(dict.fromkeys(
         [data.draw(st.sampled_from(free), label="free")] + distinct))
     A = [a for a in distinct
          for _ in range(data.draw(st.integers(1, 50), label="times"))]
-    A = data.draw(st.permutations(A), label="order")
+    return data.draw(st.permutations(A), label="order")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_count_above_on_repeated_elements(data):
+    # A is one of multiset_of_kind's four kinds; its few-element kind
+    # holds an element above none of the atoms of T (so it is sifted
+    # out by none); #A_y costs one layer per distinct multiplicity
+    name = data.draw(st.sampled_from(SMALL_ZOO), label="lattice")
+    lat = generators.parse_named(name)
+    T = data.draw(st.lists(st.sampled_from(lat.atoms()), unique=True),
+                  label="T")
+    free = [a for a in range(lat.n_elems)
+            if not any(lat.leq(t, a) for t in T)]
+    A = multiset_of_kind(data, lat, free)
     inst = SieveInstance(lattice=lat, A=A, T=T,
                          f=[Fraction(0)] * (lat.top_rank + 1),
                          X=Fraction(1))
+    counts = Counter(A)
+    assert len(lat._up_bits(counts)) == len(set(counts.values()))
     rel, mu = naive_order(name)
     for y in range(lat.n_elems):
         if (y, inst.tau) in rel:
@@ -353,21 +379,33 @@ def test_count_above_on_repeated_elements(data):
                                       cutoff)
 
 
+@pytest.mark.parametrize("name", SMALL_ZOO)
+def test_layers_of_no_element_and_of_every_element_once(name):
+    lat = generators.parse_named(name)
+    n = lat.n_elems
+    assert lat._up_bits(Counter()) == []
+    assert lat._up_bits(Counter(range(n))) == [(1, (1 << n) - 1)]
+
+
 def partition5_instance():
     lat = generators.parse_named("partition:5")
     return SieveInstance(lattice=lat, A=range(0, lat.n_elems, 2),
                          T=lat.atoms()[:6], f=[Fraction(0)] * 5, X=1)
 
 
-@pytest.mark.parametrize("make", [
+# instances with rank(tau) >= 3, so that some cutoff walks stop short
+walked_instances = pytest.mark.parametrize("make", [
     lambda: dowling.dowling_sieve_instance(3, 2, 3),
     lambda: b3_instance(T=[1, 2, 4], A=[0, 1, 3, 3, 7]),
     partition5_instance,
 ], ids=["dowling:3:2", "boolean:3", "partition:5"])
+
+
+@walked_instances
 def test_bounds_count_each_y_once(make, monkeypatch):
     # brun_bounds(inst, c) pays for the y <= tau of rank <= 2c + 1 and
     # no more, and brun_profile for each y <= tau once; each walk reads
-    # A into its (position, multiplicity) pairs once.
+    # A into its multiplicity layers once.
     inst = make()
     lat = inst.lattice
     calls = Counter()
@@ -399,6 +437,52 @@ def test_bounds_count_each_y_once(make, monkeypatch):
     brun_profile(inst)
     assert calls == Counter(below)
     assert reads == [inst]
+
+
+def overcounting_bottom(monkeypatch):
+    """Make every walk count #A_bottom one too high: mu(bottom) = 1, so
+    a whole walk then sums to one more than the sifted count."""
+    counted = sieve._count_up
+    monkeypatch.setattr(sieve, "_count_up", lambda lat, y, layers:
+                        counted(lat, y, layers) + (y == lat.bottom))
+
+
+@walked_instances
+def test_a_whole_walk_is_checked_by_meets(make, monkeypatch):
+    # every walk that reaches rank(tau) (the profile, and brun_bounds at
+    # each cutoff with 2c + 1 >= rank tau) fails loudly; a shorter walk
+    # has nothing to check and returns its (overcounted) bounds
+    inst = make()
+    r_tau = inst.lattice.rank[inst.tau]
+    exact = sifted_count_exact(inst)
+    overcounting_bottom(monkeypatch)
+    message = (f"the rank sums add up to {exact + 1}, "
+               f"not to the sifted count {exact}")
+    with pytest.raises(BrunViolation) as info:
+        brun_profile(inst)
+    assert str(info.value) == message
+    for cutoff in range(r_tau + 2):
+        if 2 * cutoff + 1 >= r_tau:
+            with pytest.raises(BrunViolation) as info:
+                brun_bounds(inst, cutoff)
+            assert str(info.value) == message
+        else:
+            brun_bounds(inst, cutoff)
+
+
+def test_verify_reports_a_failed_walk_check(monkeypatch, capsys):
+    # the BrunViolation of a walk becomes the failed check's detail;
+    # verify-all finishes and exits 1
+    overcounting_bottom(monkeypatch)
+    assert cli.main(["verify-all", "--scope", "sieve",
+                     "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    checks = {c["name"]: c for c in report["checks"]}
+    assert set(checks) == {"brun-bounds-sandwich", "sieve-closed-form"}
+    sandwich = checks["brun-bounds-sandwich"]
+    assert sandwich["ok"] is False
+    assert sandwich["detail"].startswith("error: the rank sums add up to ")
 
 
 def test_brun_check_fails_on_a_raised_lower_bound(monkeypatch):
