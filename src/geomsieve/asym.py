@@ -11,8 +11,8 @@ solve_delta() reaches delta by one Newton iteration, which starts
 above the root at W(mn)/m and falls monotonically onto it.
 Everything is evaluated in log space with mpmath working precision,
 so n can be large.  compare_exact() measures the approximation against
-the exact D_{m,r}(n), streamed by dowling's shift recurrence, and
-refuses n > 2000 with TooLarge.  Every entry point refuses more than
+the exact D_{m,r}(n), dowling's finite Dobinski sum, and refuses
+n > 2000 with TooLarge.  Every entry point refuses more than
 1000 digits with TooLarge before any mpmath work, since the cost grows
 faster than linearly in the digits.  mpmath is imported by the
 functions that evaluate, so loading this module (as the CLI does)
@@ -130,8 +130,7 @@ def compare_exact(m, r, n, *, digits=50):
 
 def _compare(data, exact):
     """The saddle data against the exact D_{m,r}(n) it was computed
-    for; check_saddle reads its exact values from one stream per
-    ladder of n."""
+    for."""
     import mpmath as mp
 
     n, digits = data.n, data.digits

@@ -11,7 +11,8 @@ numbers of such a lattice are).
 """
 
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, cycle
+from operator import mul
 
 from .errors import (
     BrunViolation,
@@ -33,10 +34,15 @@ def _nonnegative(seq, negative=lambda i: NegativeEntry(
         f"entry {i} is negative")):
     """seq as a list, each entry's type and sign checked once:
     ValueError if it is empty, TypeError at the first entry not an int
-    or a Fraction, then negative(i) raised at the first negative i."""
+    or a Fraction, then negative(i) raised at the first negative i.
+    A list of plain ints (no bool), none negative, is accepted by a
+    C-level pass over its types and one over its values; any other list
+    takes the per-entry walks, which name its fault."""
     seq = list(seq)
     if len(seq) == 0:
         raise ValueError("empty sequence")
+    if set(map(type, seq)) == {int} and min(seq) >= 0:
+        return seq
     for i, v in enumerate(seq):
         if isinstance(v, int):
             continue
@@ -86,7 +92,10 @@ def is_log_concave(seq):
 
 def _check_signs(partial):
     """Raise BrunViolation unless every even cutoff k has partial sum
-    t_k >= 0 and every odd cutoff t_k <= 0."""
+    t_k >= 0 and every odd cutoff t_k <= 0: the least even and the
+    greatest odd partial sum decide, and a walk names the first fault."""
+    if min(partial[::2]) >= 0 and max(partial[1::2], default=0) <= 0:
+        return
     for k, t in enumerate(partial):
         if k % 2 == 0 and t < 0:
             raise BrunViolation(f"even cutoff {k} gives {t} < 0")
@@ -111,8 +120,9 @@ def alternating_partial_sums_check(seq):
     seq = _nonnegative(seq, lambda i: HypothesisViolated("non-negative", i))
     if _peak(seq) is None:
         raise HypothesisViolated("unimodal", tuple(seq))
-    partial = tuple(accumulate(v if i % 2 == 0 else -v
-                               for i, v in enumerate(seq)))
+    # seq[0] as it is, so a bool t_0 stays a bool as it always has
+    partial = tuple(accumulate(map(mul, seq[1:], cycle((-1, 1))),
+                               initial=seq[0]))
     if partial[-1] != 0:
         raise HypothesisViolated("zero-alternating-sum", partial[-1])
     _check_signs(partial)

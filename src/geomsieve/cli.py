@@ -20,14 +20,20 @@ what the parser and lattice-check need: generators and poset, brun,
 and the verify-all scope table.
 
 The process entry, run(), called by the `geomsieve` script and by
-`python -m geomsieve.cli`, flushes stdout and stderr after main() and
-ends the process with os._exit, skipping interpreter teardown; the exit
-code is the one main() returns.  atexit handlers do not run, so
+`python -m geomsieve.cli`, turns the cyclic garbage collector off,
+flushes stdout and stderr after main() and ends the process with
+os._exit, skipping interpreter teardown; the exit code is the one
+main() returns.  The collector would only cost time: the commands make
+no reference cycle but the JSON encoder's one per output (a full
+verify-all runs about 50 collector passes, and they free no object),
+reference counting frees everything else as it goes, and the process
+hands its memory back at exit.  atexit handlers do not run, so
 coverage.py, for one, writes no data for such a process.  main(argv)
-never ends the process: it returns the exit code to its caller in the
-same interpreter.
+never ends the process and leaves the collector as it finds it: it
+returns the exit code to its caller in the same interpreter.
 """
 
+import gc
 import json
 import os
 import sys
@@ -425,6 +431,7 @@ def run():
     uncaught exception from main() ends the process the normal way.  So
     does a failed flush: the code is returned, and the interpreter's own
     flush at exit reports the failure, with exit code 120."""
+    gc.disable()
     code = main()
     try:
         sys.stdout.flush()

@@ -24,8 +24,9 @@ stream of whitney_first_rows or whitney_second_rows; `dowling table`
 writes such a stream as CSV.  No triangle is kept: each reader forms
 the rows it needs, once (the convolution grid forms its own once per
 m), and a negative depth or one over the depth cap is refused before
-any row.  The Dowling numbers D_{m,r}(n) are the row sums, but
-_dowling_numbers streams them from the shift recurrence
+any row.  The Dowling numbers D_{m,r}(n) are the row sums.  One value,
+r_dowling_number, is a finite Dobinski sum of n + 1 terms.  A whole
+sequence, _dowling_numbers, is streamed from the shift recurrence
 D_{m,r}(i+1) = r D_{m,r}(i) + D_{m,r+m}(i), which follows from the
 exponential generating function exp(rx + (e^{mx} - 1)/m): it holds one
 anti-diagonal of those values and forms no triangle row.  _diagonals
@@ -36,7 +37,7 @@ D_{m,r+m}(k-1) and D_{m,r}(k).
 from collections import deque, namedtuple
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import comb
+from math import comb, factorial
 from operator import itemgetter, mul
 
 from . import errors
@@ -362,10 +363,10 @@ def _diagonals(m, r, n):
 
     Diagonal k holds diag[i] = D_{m, r+(k-i)m}(i) for i = 0..k: its
     last entry is D_{m,r}(k), and for k >= 1 the one before it is
-    D_{m,r+m}(k-1), so one stream serves both ladders.  It sizes
-    nothing by n, so a reader that stops early pays only for the steps
-    it read.  Each diagonal is a new list; a reader keeps only the
-    entries it needs, since a list of whole diagonals grows as n^2.
+    D_{m,r+m}(k-1).  It sizes nothing by n, so a reader that stops
+    early pays only for the steps it read.  Each diagonal is a new
+    list; a reader keeps only the entries it needs, since a list of
+    whole diagonals grows as n^2.
     """
     if m < 1 or r < 0:
         raise ValueError("need m >= 1 and r >= 0")
@@ -400,9 +401,35 @@ def dowling_number(m, n):
 
 
 def r_dowling_number(m, r, n):
-    """D_{m,r}(n) = sum_k W_{m,r}(n, k), for n up to the cap 2000."""
+    """D_{m,r}(n) = sum_k W_{m,r}(n, k), for n up to the cap 2000, as
+    _dobinski_sum(m, r, n) / (m^n n!); a remainder raises NotExact."""
     _check_numbers_n(n)
-    return deque(_dowling_numbers(m, r, n), maxlen=1).pop()
+    if m < 1 or r < 0:
+        raise ValueError("need m >= 1 and r >= 0")
+    value, rest = divmod(_dobinski_sum(m, r, n), m ** n * factorial(n))
+    if rest:
+        raise errors.NotExact(f"the Dobinski sum of D_{{{m},{r}}}({n}) "
+                              f"leaves the remainder {rest}")
+    return value
+
+
+def _dobinski_sum(m, r, n):
+    """m^n n! D_{m,r}(n) = sum_{j=0..n} C(n, j) e_{n-j} (mj + r)^n, with
+    e_0 = 1 and e_t = m t e_{t-1} + (-1)^t (Cheon-Jung 2012).
+
+    It is Dobinski's series e^{-1/m} sum_j (mj + r)^n / (m^j j!) cut at
+    j = n: the explicit form
+    W_{m,r}(n, k) = sum_j (-1)^(k-j) C(k, j) (mj + r)^n / (m^k k!)
+    summed over k <= n, with e_t = m^t t! sum_{i<=t} (-1)^i / (m^i i!).
+    The terms are read by t = n - j, each factor from a running
+    product: n + 1 big products, where the stream to D_{m,r}(n) takes
+    n^2 / 2 steps.
+    """
+    ts = range(1, n + 1)
+    e = accumulate(ts, lambda prev, t: m * t * prev + (-1) ** t, initial=1)
+    binomials = accumulate(ts, lambda c, t: c * (n + 1 - t) // t, initial=1)
+    powers = map(pow, range(r + m * n, r - 1, -m), repeat(n))
+    return sum(map(mul, map(mul, binomials, e), powers))
 
 
 def dowling_sieve_closed_form(m, n, k):

@@ -288,8 +288,12 @@ class FiniteLattice:
     # -- Whitney numbers ----------------------------------------------
 
     def whitney_first(self):
-        """w_i = sum of mu(bottom, y) over elements of rank i."""
-        return self._whitney_below(self.top)
+        """w_i = sum of mu(bottom, y) over elements of rank i: one sum
+        of the bottom's Mobius table over each rank run of positions."""
+        table, idx_of, s = (self.mobius_table(self.bottom), self._idx_of,
+                            self._starts)
+        return tuple(sum(map(table.__getitem__, idx_of[a:b]))
+                     for a, b in zip(s, s[1:]))
 
     def _whitney_below(self, y):
         """whitney_first of [bottom, y], from this lattice's table."""

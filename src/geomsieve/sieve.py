@@ -228,8 +228,12 @@ def brun_bounds(inst, cutoff):
     the truncation rank reaches rank(tau), which is checked (see
     _check_total).  Only the y <= tau of rank <= 2*cutoff + 1 are
     counted; brun_profile gives every cutoff at the price of the
-    largest.
+    largest.  A cutoff that is a bool or not an int is refused with
+    TypeError, a negative one with ValueError.
     """
+    if isinstance(cutoff, bool) or not isinstance(cutoff, int):
+        raise TypeError(
+            f"cutoff must be an int, not {type(cutoff).__name__}")
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     sums = _rank_sums(inst, 2 * cutoff + 1)

@@ -6,7 +6,8 @@ Mobius inversion instead of per-base recursion, quadratic bound scans
 instead of bitmask tricks), so agreement is meaningful.
 
 The per-entry forms of dowling's two triangle checks live here too,
-as the references their column forms are compared against.
+as the references their column forms are compared against, and so do
+the per-entry forms of brun's sequence checks.
 
 It also holds test-only constructions the package does not ship: the
 explicit matroid of a family of independent sets (from_independents)
@@ -642,3 +643,53 @@ def flats_lattice(mat):
     labels = ["{" + ",".join(map(str, sorted(_elements(f)))) + "}"
               for f in masks]
     return build_lattice(len(masks), pairs, labels)
+
+
+def entrywise_nonnegative(seq, negative):
+    """brun._nonnegative entry by entry: TypeError at the first entry
+    not an int or a Fraction, then negative(i) at the first negative."""
+    from fractions import Fraction
+
+    seq = list(seq)
+    if not seq:
+        raise ValueError("empty sequence")
+    for i, v in enumerate(seq):
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(
+                f"entry {i} is {type(v).__name__}; use int or Fraction")
+    for i, v in enumerate(seq):
+        if v < 0:
+            raise negative(i)
+    return seq
+
+
+def entrywise_check_signs(partial):
+    """brun._check_signs entry by entry: the first even cutoff with a
+    negative partial sum or odd cutoff with a positive one."""
+    from geomsieve.errors import BrunViolation
+
+    for k, t in enumerate(partial):
+        if k % 2 == 0 and t < 0:
+            raise BrunViolation(f"even cutoff {k} gives {t} < 0")
+        if k % 2 == 1 and t > 0:
+            raise BrunViolation(f"odd cutoff {k} gives {t} > 0")
+
+
+def entrywise_partial_sums_check(seq):
+    """brun.alternating_partial_sums_check with every entry walked: the
+    same hypotheses, in the same order, with the same witnesses."""
+    from geomsieve.brun import _peak
+    from geomsieve.errors import HypothesisViolated
+
+    seq = entrywise_nonnegative(
+        seq, lambda i: HypothesisViolated("non-negative", i))
+    if _peak(seq) is None:
+        raise HypothesisViolated("unimodal", tuple(seq))
+    partial = []
+    for i, v in enumerate(seq):
+        term = v if i % 2 == 0 else -v
+        partial.append(partial[-1] + term if partial else term)
+    if partial[-1] != 0:
+        raise HypothesisViolated("zero-alternating-sum", partial[-1])
+    entrywise_check_signs(partial)
+    return tuple(partial)

@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geomsieve import asym, dowling, verify
+from geomsieve import asym, verify
 from geomsieve.asym import compare_exact, saddle_values, solve_delta
 from geomsieve.cli import main
 from geomsieve.dowling import r_dowling_number
@@ -288,26 +288,32 @@ def test_saddle_check_matches_per_n_comparisons(fast):
     assert verify.check_saddle(fast=fast) == (True, "; ".join(details))
 
 
-def test_saddle_check_reads_one_pass_per_ladder(row_steps):
-    # one stream per m, one step past max(ns), serves both (m, 1) and
-    # (m, 1 + m)
+def test_saddle_check_reads_each_exact_value_once(monkeypatch, row_steps):
+    # one finite Dobinski sum per (m, r, n) compared, and no step of the
+    # anti-diagonal stream
+    calls = []
+    honest = asym.r_dowling_number
+
+    def counted(m, r, n):
+        calls.append((m, r, n))
+        return honest(m, r, n)
+
+    monkeypatch.setattr(asym, "r_dowling_number", counted)
     assert verify.check_saddle(fast=True)[0]
-    assert row_steps == [(1, 1)] * 201 + [(2, 1)] * 201
+    assert calls == [(m, r, n) for m, r in ((1, 1), (2, 1), (1, 2), (2, 3))
+                     for n in (50, 100, 200)]
+    assert row_steps == []
 
 
-def test_saddle_check_fails_on_a_ladder_read_one_diagonal_early(monkeypatch):
-    # hand the check, at step k, the entry D_{m,1+m}(k-2) of diagonal
-    # k - 1 where D_{m,1+m}(k-1) belongs: the (1, 2) ladder then lags
-    # one n behind its saddle values
-    stream = dowling._diagonals
+def test_saddle_check_fails_on_a_ladder_read_one_n_early(monkeypatch):
+    # hand the (1, 2) ladder D_{1,2}(n - 1) where D_{1,2}(n) belongs: it
+    # then lags one n behind its saddle values
+    honest = asym.r_dowling_number
 
     def early(m, r, n):
-        prev = None
-        for diag in stream(m, r, n):
-            yield diag if prev is None else prev[:-1] + diag[-1:]
-            prev = diag
+        return honest(m, r, n - ((m, r) == (1, 2)))
 
-    monkeypatch.setattr(dowling, "_diagonals", early)
+    monkeypatch.setattr(asym, "r_dowling_number", early)
     ok, detail = verify.check_saddle(fast=True)
     assert ok is False
     assert detail.startswith("(m,r)=(1,2): errors not decreasing"), detail

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomsieve import brun as brun_module
 from geomsieve import generators, poset, verify
 from geomsieve.brun import (
     BrunReport,
@@ -14,6 +15,7 @@ from geomsieve.brun import (
 )
 from geomsieve.errors import (
     BrunViolation,
+    GeomsieveError,
     HypothesisViolated,
     NegativeEntry,
     NotGeometric,
@@ -95,6 +97,82 @@ def test_alternating_on_random_symmetrized(half, pre, post):
     sums = alternating_partial_sums_check(seq)
     assert len(sums) == len(seq)
     assert sums[-1] == 0
+
+
+def _outcome(call, *args):
+    """A call's value, or its exception's type, text and witness; a
+    value is listed with the type of each entry, so a bool or Fraction
+    read back as an int shows."""
+    try:
+        value = call(*args)
+    except (GeomsieveError, ValueError, TypeError, AssertionError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return None if value is None else [(type(v), v) for v in value]
+
+
+_ENTRY = st.one_of(
+    st.integers(-3, 40), st.booleans(),
+    st.fractions(min_value=-2, max_value=40, max_denominator=4),
+    st.sampled_from([1.0, "2", None]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_ENTRY, max_size=9) | st.lists(st.integers(-2, 40),
+                                               max_size=9))
+def test_sequence_checks_match_their_entrywise_forms(seq):
+    # the one-pass accept of a plain non-negative int list, and every
+    # other list through the per-entry walks: same values, same errors,
+    # same witnesses as the entry-by-entry forms
+    assert _outcome(alternating_partial_sums_check, seq) == \
+        _outcome(oracles.entrywise_partial_sums_check, seq)
+    negative = brun_module._nonnegative.__defaults__[0]
+    assert _outcome(brun_module._nonnegative, seq) == \
+        _outcome(oracles.entrywise_nonnegative, seq, negative)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=9))
+def test_sign_check_matches_its_entrywise_form(partial):
+    partial = tuple(partial)
+    assert _outcome(brun_module._check_signs, partial) == \
+        _outcome(oracles.entrywise_check_signs, partial)
+
+
+def test_bool_and_fraction_entries_keep_their_types():
+    assert brun_module._nonnegative([True, False, True]) == [True, False,
+                                                              True]
+    assert [type(v) for v in brun_module._nonnegative([True, 2])] == \
+        [bool, int]
+    with pytest.raises(HypothesisViolated) as exc:
+        alternating_partial_sums_check([True])
+    assert exc.value.witness is True
+    assert str(exc.value) == ("hypothesis violated: zero-alternating-sum "
+                              "(witness True)")
+    assert alternating_partial_sums_check([False])[0] is False
+    half = Fraction(1, 2)
+    sums = alternating_partial_sums_check([half, Fraction(3, 2), 1])
+    assert sums == (half, -1, 0)
+    assert type(sums[0]) is Fraction and type(sums[1]) is Fraction
+
+
+@pytest.mark.parametrize("seq, index", [
+    ([1, 2, -3, 0], 2),
+    ([-1, 5], 0),
+    ([4, True, Fraction(-1, 3)], 2),
+    ([0, 0, 0, -10 ** 40], 3),
+])
+def test_a_negative_entry_is_named_by_its_index(seq, index):
+    with pytest.raises(NegativeEntry, match=f"^entry {index} is negative$"):
+        is_unimodal(seq)
+    with pytest.raises(HypothesisViolated) as exc:
+        alternating_partial_sums_check(seq)
+    assert (exc.value.which, exc.value.witness) == ("non-negative", index)
+
+
+def test_a_wrong_type_is_named_before_a_negative_entry():
+    with pytest.raises(TypeError, match="^entry 1 is float; use int or "
+                                        "Fraction$"):
+        is_log_concave([-1, 1.0])
 
 
 def test_verify_brun_b3():

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import gc
 import importlib
 import inspect
 import io
@@ -15,7 +16,7 @@ from decimal import Decimal
 import pytest
 
 import geomsieve
-from geomsieve import cli, dowling, errors, generators, poset, sieve
+from geomsieve import cli, dowling, errors, generators, poset, sieve, verify
 from geomsieve.cli import main
 from geomsieve.poset import _exact_digits, lattice_from_json, lattice_to_json
 from geomsieve.sieve import sieve_instance_to_json
@@ -1097,6 +1098,69 @@ def test_failed_flush_at_exit_is_reported_by_the_interpreter():
                                   b"name='<stdout>'")
     assert proc.stderr.endswith(
         b"OSError: [Errno 28] No space left on device\n")
+
+
+@pytest.fixture
+def collector():
+    """Restore the cyclic collector's setting after the test."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_main_leaves_the_collector_as_it_finds_it(capsys, collector,
+                                                  enabled):
+    (gc.enable if enabled else gc.disable)()
+    assert main(["lattice-check", "boolean:3"]) == 0
+    assert main(["lattice-check", "chain:3"]) == 1
+    assert gc.isenabled() is enabled
+
+
+def test_run_turns_the_collector_off(capsys, collector, monkeypatch):
+    gc.enable()
+    exits = []
+    monkeypatch.setattr(cli.os, "_exit", exits.append)
+    monkeypatch.setattr(sys, "argv", ["geomsieve", "lattice-check",
+                                      "boolean:3"])
+    assert cli.run() is None
+    assert exits == [0]
+    assert gc.isenabled() is False
+    assert json.loads(capsys.readouterr().out)["geometric"] is True
+
+
+def test_commands_leave_the_collector_nothing_to_free(capsys, collector,
+                                                      tmp_path):
+    # the premise of run()'s gc.disable(): with the collector off, a full
+    # verify-all and lattice-check on a non-lattice (a bowtie) and on a
+    # non-semimodular lattice (the dual of partition:4) make no reference
+    # cycle.  The one cycle left is the JSON encoder's own: json.dump
+    # with an indent builds nested closures for each call, as many
+    # objects as a bare json.dump leaves
+    bowtie = tmp_path / "bowtie.json"
+    bowtie.write_text(json.dumps({"n": 6, "covers": [
+        [0, 1], [0, 2], [1, 3], [2, 3], [1, 4], [2, 4], [3, 5], [4, 5]]}),
+        encoding="utf-8")
+    pi4 = lattice_to_json(generators.parse_named("partition:4"))
+    dual = tmp_path / "dual.json"
+    dual.write_text(json.dumps({"n": pi4["n"], "covers": [
+        [y, x] for x, y in pi4["covers"]]}), encoding="utf-8")
+    gc.disable()
+
+    def garbage(call, *args):
+        gc.collect()
+        call(*args)
+        return gc.collect()
+
+    encoder = garbage(lambda: json.dump({"n": 1}, io.StringIO(), indent=2))
+    assert garbage(lambda: all(r.ok for r in verify.run_checks())) == 0
+    assert garbage(main, ["lattice-check", str(bowtie)]) == 0
+    assert "have no join" in capsys.readouterr().err
+    text = ["lattice-check", str(dual), "--format", "text"]
+    assert garbage(main, text) == 0
+    assert "failure: NotSemimodular" in capsys.readouterr().out
+    assert garbage(main, ["lattice-check", str(dual)]) == encoder
+    assert json.loads(capsys.readouterr().out)["failure"] == "NotSemimodular"
 
 
 def test_console_script_is_the_entry_the_main_block_calls():

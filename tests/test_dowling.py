@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import deque
 from fractions import Fraction
 from functools import partial
 
@@ -471,6 +472,52 @@ def test_dowling_stream_satisfies_shift_recurrence(m, r, n):
     assert all(d[i + 1] == r * d[i] + shifted[i] for i in range(n + 1))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 5), st.integers(0, 60))
+def test_dobinski_sum_matches_the_stream_and_the_egf(m, r, n):
+    stream = deque(dowling._dowling_numbers(m, r, n), maxlen=1).pop()
+    assert r_dowling_number(m, r, n) == stream == \
+        oracles.r_dowling_numbers(m, r, n)[n]
+
+
+def test_dobinski_sum_spot_values_at_n_400():
+    # D_1(400) = Bell(401), from the Bell triangle; D_{2,3}(400) from the
+    # anti-diagonal stream
+    assert r_dowling_number(1, 1, 400) == oracles.bell_numbers(401)[401]
+    assert r_dowling_number(2, 3, 400) == \
+        deque(dowling._dowling_numbers(2, 3, 400), maxlen=1).pop()
+
+
+def test_dobinski_sum_with_a_remainder_raises(monkeypatch):
+    honest = dowling._dobinski_sum
+    monkeypatch.setattr(dowling, "_dobinski_sum",
+                        lambda m, r, n: honest(m, r, n) + 1)
+    with pytest.raises(errors.NotExact, match=r"^the Dobinski sum of "
+                       r"D_\{2,3\}\(5\) leaves the remainder 1$"):
+        r_dowling_number(2, 3, 5)
+    # n = 0 divides by m^0 0! = 1, which leaves no remainder
+    assert r_dowling_number(2, 3, 0) == 2
+    assert issubclass(errors.NotExact, errors.GeomsieveError)
+
+
+@pytest.mark.parametrize("m, r, n, error, message", [
+    (2, 3, -1, ValueError, r"^need n >= 0$"),
+    (2, 3, 2001, TooLarge, r"^need n <= 2000, the cap on exact Dowling "
+                           r"numbers$"),
+    (0, 1, 2001, TooLarge, r"^need n <= 2000, "),
+    (0, 1, 3, ValueError, r"^need m >= 1 and r >= 0$"),
+    (2, -1, 3, ValueError, r"^need m >= 1 and r >= 0$"),
+])
+def test_dobinski_sum_refusals_come_before_any_work(monkeypatch, m, r, n,
+                                                    error, message):
+    calls = []
+    monkeypatch.setattr(dowling, "_dobinski_sum",
+                        lambda *args: calls.append(args))
+    with pytest.raises(error, match=message):
+        r_dowling_number(m, r, n)
+    assert calls == []
+
+
 @pytest.mark.parametrize("m, r", [(0, 1), (2, -1)])
 def test_dowling_stream_validates_before_its_first_value(m, r):
     with pytest.raises(ValueError, match=r"^need m >= 1 and r >= 0$"):
@@ -640,8 +687,9 @@ def test_triangle_checks_match_entrywise_oracles(m, kind, j, n, k, delta):
 
 
 def test_r_dowling_number_holds_one_row():
-    # the stream holds one anti-diagonal, about 1.2 MB at its peak; rows
-    # 0..1000 of the cached triangle peaked at about 213 MB
+    # the Dobinski sum holds its n + 1 values e_t, about 0.6 MB at its
+    # peak (the stream's one anti-diagonal about 1.2 MB); rows 0..1000 of
+    # the cached triangle peaked at about 213 MB
     code = ("import tracemalloc\n"
             "from geomsieve.dowling import r_dowling_number\n"
             "tracemalloc.start()\n"

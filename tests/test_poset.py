@@ -301,6 +301,19 @@ def test_whitney_second_examples():
     assert generators.parse_named("dowling:2:2").whitney_second() == (1, 4, 1)
 
 
+def test_whitney_first_matches_the_walk_and_the_oracle(zoo_lattice):
+    # the rank-run sums of the bottom's table, against the down-set walk
+    # of _whitney_below and matrix Mobius inversion
+    _, lat = zoo_lattice
+    rel = oracles.leq_matrix(lat.n_elems, lat.covers)
+    mu = oracles.naive_mobius_matrix(lat.n_elems, rel)
+    rank = oracles.naive_ranks(lat.n_elems, rel)
+    w = [0] * (lat.top_rank + 1)
+    for y in range(lat.n_elems):
+        w[rank[y]] += mu[lat.bottom, y]
+    assert lat.whitney_first() == lat._whitney_below(lat.top) == tuple(w)
+
+
 def test_whitney_first_sums_to_zero(zoo_lattice):
     _, lat = zoo_lattice
     if lat.top_rank >= 1:

@@ -561,6 +561,22 @@ def test_brun_bounds_cutoff_zero_upper_is_A():
         brun_bounds(inst, -1)
 
 
+@pytest.mark.parametrize("cutoff, kind", [
+    (True, "bool"), (False, "bool"), (0.5, "float"), (2.0, "float"),
+    ("1", "str"), (None, "NoneType"), (Fraction(1), "Fraction"),
+])
+def test_brun_bounds_refuses_a_cutoff_not_an_int(monkeypatch, cutoff, kind):
+    # refused by name before the walk; a bool is not read as 0 or 1
+    inst = b3_instance(T=[1, 2])
+    monkeypatch.setattr(sieve, "_rank_sums", lambda *args: pytest.fail(
+        "walked"))
+    with pytest.raises(TypeError, match=f"^cutoff must be an int, not "
+                                        f"{kind}$"):
+        brun_bounds(inst, cutoff)
+    with pytest.raises(ValueError, match=r"^cutoff must be >= 0$"):
+        brun_bounds(inst, -1)
+
+
 def test_main_term_requires_geometric_interval():
     # atomistic non-semimodular lattice: tau = top, interval = whole
     covers = [(0, 1), (0, 2), (0, 3),
